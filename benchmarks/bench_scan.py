@@ -6,8 +6,9 @@ with the virtual clock advancing between batches so time ranges mean
 something), then measures three queries over it:
 
 * **raw scan** — ``Loom.scan`` over the full time range, materializing
-  every record.  This exercises the mmap-backed bulk-read tier and the
-  columnar ``region_columns`` decode end to end.
+  every record.  This walks the source's back-pointer chain one record
+  read at a time; it does not use the columnar ``region_columns``
+  decode (only the indexed verbs do).
 * **indexed scan (selective)** — ``Loom.scan_indexed`` with a value
   range matching ~1/16 of records, so most chunk summaries are skipped
   and the vectorized bin/time filter touches only candidate regions.

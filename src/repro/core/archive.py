@@ -13,10 +13,18 @@ range pays a decompression.  This module implements that trade
   zlib-compressed; payloads are concatenated into a separate blob,
   byte-transposed when every record in the chunk has the same payload
   width (a shuffle filter: fixed-width telemetry payloads compress far
-  better column-of-bytes-wise), and zlib-compressed.  Decoding
-  reconstructs the *byte-identical* original chunk region — including
-  each record's CRC — so every existing read path works unchanged on the
-  decompressed buffer.
+  better column-of-bytes-wise), and zlib-compressed.  Both directions
+  are columnar (array operations, no per-record Python); the per-record
+  encoder and decoder stay as byte-identity oracles and as the fallback
+  for inputs outside the vectorized range.
+* **Columns-first reads** — a cache miss decodes a chunk straight into
+  read-only query columns plus its payload blob
+  (:func:`decode_chunk_columns`); cold ``region_columns`` slices them
+  and cold record reads index into them.  The frame's stored
+  ``crc32(streams)``, re-checked on every miss, is what protects cold
+  bytes.  The byte-identical region, record CRCs included, is rebuilt
+  (:func:`~repro.core.record.frame_columns`) only for callers that need
+  bytes (:meth:`ArchiveLog.read_range`).
 * **Archive log** — an append-only file of CRC-framed entries with the
   same sidecar frame-journal scheme as the hot logs.  ``DATA`` frames
   carry one compressed chunk; a ``RECYCLE`` frame *ratifies* all data
@@ -51,7 +59,16 @@ import numpy as np
 from .errors import AddressError, CorruptionError
 from .hybridlog import FRAME_ENTRY
 from .metrics import Counter
-from .record import HEADER_SIZE, decode_header, encode_record
+from .record import (
+    BODY_DTYPE,
+    BODY_SIZE,
+    HEADER_SIZE,
+    RegionColumns,
+    decode_header,
+    encode_record,
+    frame_columns,
+    record_offsets,
+)
 from .storage import Storage
 
 if TYPE_CHECKING:  # avoid an import cycle: record_log imports this module
@@ -67,8 +84,12 @@ __all__ = [
     "MigrationReport",
     "RetentionReport",
     "encode_chunk_streams",
+    "encode_chunk_streams_scalar",
+    "decode_chunk_columns",
     "decode_chunk_region",
     "iter_region_records",
+    "read_archive_entry",
+    "read_frame_streams",
 ]
 
 #: Archive frame header: kind, flags, a, b, c, record_count, raw_len,
@@ -91,6 +112,10 @@ _RETIRE_MODES = {"drop": RETIRE_DROP, "downsample": RETIRE_DOWNSAMPLE}
 _RETIRE_NAMES = {RETIRE_DROP: "drop", RETIRE_DOWNSAMPLE: "downsample"}
 
 _NULL = 0xFFFF_FFFF_FFFF_FFFF
+_U32_MAX = 0xFFFF_FFFF
+#: The columnar encoder computes delta-of-deltas in int64; timestamps at
+#: or above this bound go to the scalar encoder.
+_TS_LIMIT = 1 << 62
 
 
 # ----------------------------------------------------------------------
@@ -153,20 +178,13 @@ def iter_region_records(
         offset += HEADER_SIZE + length
 
 
-def encode_chunk_streams(
+def encode_chunk_streams_scalar(
     region: bytes, start_addr: int
 ) -> Tuple[bytes, bytes, int, int]:
-    """Split a chunk region into compressible column streams.
-
-    Returns ``(header_stream, payload_blob, record_count, flags)``, both
-    streams uncompressed.  The header stream packs, per column: source
-    ids (varint), timestamps (first absolute, then delta-of-delta zigzag
-    varints), back pointers (0 for NULL, else the positive distance
-    ``address - prev_addr``), and payload lengths (varint).  When every
-    payload has the same non-zero width the blob is byte-transposed
-    (``FLAG_TRANSPOSED``) so same-position bytes of consecutive records
-    become runs.
-    """
+    """Per-record reference encoder: the byte-identity oracle of
+    :func:`encode_chunk_streams`, and its fallback for inputs outside
+    the vectorized range (timestamps at or above 2**62, varints over 63
+    bits, regions whose records do not tile)."""
     sids: List[int] = []
     timestamps: List[int] = []
     prev_deltas: List[int] = []
@@ -215,20 +233,140 @@ def encode_chunk_streams(
     return bytes(stream), blob, count, flags
 
 
-def decode_chunk_region(
-    header_stream: bytes,
-    payload_blob: bytes,
-    start_addr: int,
-    record_count: int,
-    raw_len: int,
-    flags: int,
-) -> bytes:
-    """Rebuild the byte-identical original chunk region from its streams.
+def encode_chunk_streams(
+    region: bytes, start_addr: int
+) -> Tuple[bytes, bytes, int, int]:
+    """Split a chunk region into compressible column streams.
 
-    Re-frames every record through :func:`~repro.core.record.encode_record`
-    (framing and CRC are deterministic functions of the columns), so the
-    result can serve every existing read path unchanged.
+    Returns ``(header_stream, payload_blob, record_count, flags)``, both
+    streams uncompressed.  The header stream packs, per column: source
+    ids (varint), timestamps (first absolute, then delta-of-delta zigzag
+    varints), back pointers (0 for NULL, else the positive distance
+    ``address - prev_addr``), and payload lengths (varint).  When every
+    payload has the same non-zero width the blob is byte-transposed
+    (``FLAG_TRANSPOSED``) so same-position bytes of consecutive records
+    become runs.
+
+    Columnar: the headers are gathered into one structured array, then
+    zigzag, delta-of-delta and varint packing are array operations.  The
+    streams are byte-identical to :func:`encode_chunk_streams_scalar`'s,
+    which serves inputs outside the vectorized range.
     """
+    size = len(region)
+    if size < HEADER_SIZE:
+        return encode_chunk_streams_scalar(region, start_addr)
+    offsets = record_offsets(region, size)
+    n = len(offsets)
+    if int(offsets[-1]) + HEADER_SIZE > size:
+        return encode_chunk_streams_scalar(region, start_addr)  # raises
+    raw = np.frombuffer(region, np.uint8)
+    bodies = (
+        raw[(offsets[:, None] + np.arange(BODY_SIZE)).ravel()]
+        .view(BODY_DTYPE)
+    )
+    lengths = bodies["len"].astype(np.uint64)
+    timestamps = bodies["ts"]
+    prevs = bodies["prev"]
+    addresses = offsets.astype(np.uint64) + np.uint64(start_addr)
+    chained = prevs != np.uint64(_NULL)
+    if (
+        int(offsets[-1]) + HEADER_SIZE + int(lengths[-1]) != size
+        or int(timestamps.max()) >= _TS_LIMIT
+        or bool((prevs[chained] > addresses[chained]).any())
+    ):
+        return encode_chunk_streams_scalar(region, start_addr)
+    ts = timestamps.astype(np.int64)
+    dod = np.diff(np.diff(ts), prepend=0)
+    zigzag = ((dod << 1) ^ (dod >> 63)).view(np.uint64)
+    backs = np.where(chained, addresses - prevs, np.uint64(0))
+    # The count and the first (absolute, usually widest) timestamp are
+    # packed one by one, so the vector passes stay as short as the
+    # widest delta, back distance or length.
+    sid_stream = _pack_varints(bodies["sid"].astype(np.uint64))
+    rest = _pack_varints(np.concatenate((zigzag, backs, lengths)))
+    if sid_stream is None or rest is None:
+        return encode_chunk_streams_scalar(region, start_addr)
+    stream = bytearray()
+    _put_varint(stream, n)
+    stream += sid_stream
+    _put_varint(stream, int(timestamps[0]))
+    stream += rest
+
+    width = int(lengths[0])
+    if width > 0 and bool((lengths == np.uint64(width)).all()):
+        rows = raw.reshape(n, HEADER_SIZE + width)[:, HEADER_SIZE:]
+        return bytes(stream), rows.T.tobytes(), n, FLAG_TRANSPOSED
+    # Header and payload byte runs alternate: drop every header run.
+    runs = np.empty(2 * n, np.int64)
+    runs[0::2] = HEADER_SIZE
+    runs[1::2] = lengths
+    is_payload = np.repeat(np.tile(np.array([False, True]), n), runs)
+    return bytes(stream), raw[is_payload].tobytes(), n, 0
+
+
+#: ``_VARINT_LIMITS[k]`` is the least value whose varint needs ``k + 2``
+#: bytes; the last entry (2**63) is past the columnar codec's range.
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], np.uint64)
+
+
+def _pack_varints(values: np.ndarray) -> Optional[bytes]:
+    """LEB128-pack a u64 vector; ``None`` if a value needs over 63 bits.
+
+    Byte ``k`` of every varint at least ``k + 1`` bytes long is written
+    in one vector step, over the shrinking subset of longer varints.
+    """
+    widths = np.searchsorted(_VARINT_LIMITS, values, side="right") + 1
+    most = int(widths.max())
+    if most > 9:
+        return None
+    ends = np.cumsum(widths)
+    out = np.empty(int(ends[-1]), np.uint8)
+    at = ends - widths
+    for k in range(most):
+        more = widths > k + 1
+        out[at] = (values & np.uint64(0x7F)).astype(np.uint8) | (
+            more.astype(np.uint8) << 7
+        )
+        at = at[more] + 1
+        values = values[more] >> np.uint64(7)
+        widths = widths[more]
+    return out.tobytes()
+
+
+def _unpack_varints(stream: bytes, count: int, address: int) -> Optional[np.ndarray]:
+    """Decode exactly ``count`` LEB128 varints filling ``stream``, as u64.
+
+    Each terminator byte (high bit clear) ends one varint; the bytes of
+    each are shifted into place and summed with one ``reduceat``.
+    Returns ``None`` when a varint is over 9 bytes (63 bits): the scalar
+    decoder then takes over.
+    """
+    raw = np.frombuffer(stream, np.uint8)
+    ends = np.flatnonzero(raw < 0x80)
+    if len(ends) != count or int(ends[-1]) != len(raw) - 1:
+        raise CorruptionError(
+            f"archive header stream holds {len(ends)} varints, "
+            f"expected {count}",
+            address=address,
+        )
+    if len(ends) == len(raw):
+        return raw.astype(np.uint64)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts + 1
+    if int(widths.max()) > 9:
+        return None
+    shift = (np.arange(len(raw)) - np.repeat(starts, widths)) * 7
+    parts = (raw & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    return np.add.reduceat(parts, starts)
+
+
+def _decode_header_stream_scalar(
+    header_stream: bytes, start_addr: int, record_count: int
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Per-record parse of a header stream into its four columns:
+    ``(source_ids, timestamps, back_distances, lengths)``."""
     pos = 0
     count, pos = _get_varint(header_stream, pos)
     if count != record_count:
@@ -260,19 +398,45 @@ def decode_chunk_region(
     for _ in range(count):
         length, pos = _get_varint(header_stream, pos)
         lengths.append(length)
+    return sids, timestamps, backs, lengths
 
+
+def _untranspose(payload_blob: bytes, count: int, flags: int) -> bytes:
+    """Undo the encoder's byte transpose (``FLAG_TRANSPOSED``), if any."""
     if flags & FLAG_TRANSPOSED and count > 0:
         width = len(payload_blob) // count
-        payload_blob = (
+        return (
             np.frombuffer(payload_blob, dtype=np.uint8)
             .reshape(width, count)
             .T.tobytes()
         )
+    return payload_blob
 
+
+def decode_chunk_region(
+    header_stream: bytes,
+    payload_blob: bytes,
+    start_addr: int,
+    record_count: int,
+    raw_len: int,
+    flags: int,
+) -> bytes:
+    """Per-record reference decoder: rebuild the byte-identical original
+    chunk region from its streams.
+
+    Re-frames every record through :func:`~repro.core.record.encode_record`
+    (framing and CRC are deterministic functions of the columns).  The
+    oracle of :func:`decode_chunk_columns` and
+    :func:`~repro.core.record.frame_columns`.
+    """
+    sids, timestamps, backs, lengths = _decode_header_stream_scalar(
+        header_stream, start_addr, record_count
+    )
+    payload_blob = _untranspose(payload_blob, record_count, flags)
     parts: List[bytes] = []
     address = start_addr
     payload_offset = 0
-    for i in range(count):
+    for i in range(record_count):
         length = lengths[i]
         payload = payload_blob[payload_offset : payload_offset + length]
         payload_offset += length
@@ -287,6 +451,139 @@ def decode_chunk_region(
             address=start_addr,
         )
     return region
+
+
+def decode_chunk_columns(
+    header_stream: bytes,
+    payload_blob: bytes,
+    start_addr: int,
+    record_count: int,
+    raw_len: int,
+    flags: int,
+) -> RegionColumns:
+    """Decode a chunk's streams straight into read-only query columns.
+
+    No record is re-framed: varints are unpacked with one ``reduceat``,
+    timestamps rebuilt from the delta-of-deltas with two cumsums (exact
+    modulo 2**64, so any u64 timestamp survives), back-pointers resolved
+    against the offset cumsum, and the payload blob untransposed once.
+    The result's ``buffer`` is that blob.  Raises
+    :class:`CorruptionError` when the streams disagree with the frame's
+    record count or raw length.
+    """
+    n = record_count
+    values = _unpack_varints(header_stream, 1 + 4 * n, start_addr)
+    if values is None:
+        sids, timestamps, backs, lengths = (
+            np.array(column, np.uint64)
+            for column in _decode_header_stream_scalar(header_stream, start_addr, n)
+        )
+    else:
+        if int(values[0]) != n:
+            raise CorruptionError(
+                f"archive frame record count mismatch ({int(values[0])} != {n})",
+                address=start_addr,
+            )
+        sids = values[1 : 1 + n]
+        backs = values[1 + 2 * n : 1 + 3 * n]
+        lengths = values[1 + 3 * n :]
+        timestamps = np.empty(n, np.uint64)
+        if n:
+            zigzag = values[2 + n : 1 + 2 * n]
+            dod = (zigzag >> np.uint64(1)) ^ np.negative(zigzag & np.uint64(1))
+            delta = np.cumsum(dod.view(np.int64))
+            timestamps[0] = values[1 + n]
+            timestamps[1:] = np.cumsum(delta).view(np.uint64) + timestamps[0]
+    if n and (int(sids.max()) > _U32_MAX or int(lengths.max()) > _U32_MAX):
+        raise CorruptionError(
+            "archive header stream holds a source id or length over 32 bits",
+            address=start_addr,
+        )
+    offsets = np.zeros(n, np.int64)
+    payload_starts = np.zeros(n, np.int64)
+    if n:
+        np.cumsum(lengths[:-1].astype(np.int64) + HEADER_SIZE, out=offsets[1:])
+        np.cumsum(lengths[:-1].astype(np.int64), out=payload_starts[1:])
+    payload_len = int(payload_starts[-1]) + int(lengths[-1]) if n else 0
+    if (
+        payload_len + HEADER_SIZE * n != raw_len
+        or payload_len != len(payload_blob)
+        or (flags & FLAG_TRANSPOSED and n and payload_len % n)
+    ):
+        raise CorruptionError(
+            f"archive frame decoded to {payload_len + HEADER_SIZE * n} bytes "
+            f"of records and {len(payload_blob)} of payload, expected "
+            f"{raw_len} and {payload_len}",
+            address=start_addr,
+        )
+    payload_blob = _untranspose(payload_blob, n, flags)
+    addresses = offsets.astype(np.uint64) + np.uint64(start_addr)
+    prevs = np.where(backs == 0, np.uint64(_NULL), addresses - backs)
+    columns = RegionColumns(
+        start=start_addr,
+        source_ids=sids.astype(np.uint32),
+        timestamps=timestamps,
+        prev_addrs=prevs,
+        lengths=lengths.astype(np.uint32),
+        offsets=offsets,
+        payload_starts=payload_starts,
+        buffer=payload_blob,
+    )
+    for array in (
+        columns.source_ids,
+        columns.timestamps,
+        columns.prev_addrs,
+        columns.lengths,
+        offsets,
+        payload_starts,
+    ):
+        array.flags.writeable = False
+    return columns
+
+
+def read_frame_streams(storage: Storage, entry: "ArchiveEntry") -> Tuple[bytes, bytes]:
+    """Read one ``DATA`` frame's streams, verified and inflated.
+
+    Returns ``(header_stream, payload_blob)``.  The frame's stored
+    ``crc32(streams)`` is re-checked first: it is what protects cold
+    bytes (the original records' CRCs are not stored, only recomputed
+    when bytes are rebuilt).  A CRC mismatch or a stream zlib cannot
+    inflate raises :class:`CorruptionError` at the chunk's start address.
+    """
+    streams = bytes(
+        storage.read(entry.frame_addr + FRAME_HEADER.size, entry.compressed_len)
+    )
+    if zlib.crc32(streams) != entry.crc:
+        raise CorruptionError(
+            f"archived chunk {entry.chunk_id} fails its stream CRC",
+            address=entry.start_addr,
+        )
+    try:
+        return (
+            zlib.decompress(streams[: entry.header_len]),
+            zlib.decompress(streams[entry.header_len :]),
+        )
+    except zlib.error as exc:
+        raise CorruptionError(
+            f"archived chunk {entry.chunk_id} does not decompress ({exc})",
+            address=entry.start_addr,
+        ) from exc
+
+
+def read_archive_entry(storage: Storage, entry: "ArchiveEntry") -> RegionColumns:
+    """Read, verify and decode one ``DATA`` frame into chunk columns
+    (:func:`read_frame_streams`, then :func:`decode_chunk_columns`, which
+    raises :class:`CorruptionError` when the streams disagree with the
+    frame's record count or length)."""
+    header_stream, payload_blob = read_frame_streams(storage, entry)
+    return decode_chunk_columns(
+        header_stream,
+        payload_blob,
+        entry.start_addr,
+        entry.record_count,
+        entry.raw_len,
+        entry.flags,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +602,7 @@ class ArchiveEntry:
         "payload_len",
         "raw_len",
         "flags",
+        "crc",
         "retired",
     )
 
@@ -319,6 +617,7 @@ class ArchiveEntry:
         payload_len: int,
         raw_len: int,
         flags: int,
+        crc: int,
     ) -> None:
         self.chunk_id = chunk_id
         self.start_addr = start_addr
@@ -329,6 +628,8 @@ class ArchiveEntry:
         self.payload_len = payload_len
         self.raw_len = raw_len
         self.flags = flags
+        #: The frame's stored ``crc32(streams)``.
+        self.crc = crc
         self.retired = False
 
     @property
@@ -398,6 +699,7 @@ def scan_archive_frames(storage: Storage) -> ArchiveScan:
                     payload_len=pay_len,
                     raw_len=raw_len,
                     flags=flags,
+                    crc=crc,
                 )
             )
         elif kind == KIND_RECYCLE:
@@ -445,7 +747,8 @@ class ArchiveLog:
         self._entries: List[ArchiveEntry] = []
         self._starts: List[int] = []
         self._by_chunk: Dict[int, ArchiveEntry] = {}
-        self._cache: Dict[int, bytes] = {}
+        #: Decoded chunk columns by chunk id (see :meth:`read_chunk_bytes`).
+        self._cache: Dict[int, RegionColumns] = {}
         self.recycled_upto = 0
         self.retention_floor = 0
         self.retention_mode = 0
@@ -523,7 +826,8 @@ class ArchiveLog:
         raw_len: int,
         header_stream: bytes,
         payload_stream: bytes,
-    ) -> int:
+    ) -> Tuple[int, int]:
+        """Append one frame; returns its address and stream CRC."""
         crc = zlib.crc32(payload_stream, zlib.crc32(header_stream))
         frame = (
             FRAME_HEADER.pack(
@@ -546,7 +850,7 @@ class ArchiveLog:
             self._journal.append(
                 FRAME_ENTRY.pack(address, len(frame), zlib.crc32(frame))
             )
-        return address
+        return address, crc
 
     def append_chunk(
         self, chunk_id: int, start_addr: int, end_addr: int, region: bytes
@@ -557,7 +861,7 @@ class ArchiveLog:
         )
         header_comp = zlib.compress(header_stream, self._level)
         payload_comp = zlib.compress(payload_blob, self._level)
-        frame_addr = self._append_frame(
+        frame_addr, crc = self._append_frame(
             KIND_DATA,
             flags,
             chunk_id,
@@ -578,6 +882,7 @@ class ArchiveLog:
             payload_len=len(payload_comp),
             raw_len=len(region),
             flags=flags,
+            crc=crc,
         )
         self._admit(entry)
         return entry
@@ -648,14 +953,25 @@ class ArchiveLog:
 
     def read_chunk_bytes(
         self, chunk_id: int, stats: "Optional[QueryStats]" = None
-    ) -> bytes:
-        """Decompress one chunk into an owned buffer (cached).
+    ) -> RegionColumns:
+        """One archived chunk decoded into read-only columns (cached).
 
-        The returned bytes are owned by the caller's reference — they
-        live outside the zero-copy borrow rules, so a later migration or
-        retention pass can never invalidate them.  ``stats``, when given,
-        receives per-query cold-decompression accounting (cache hits do
-        not count).
+        Despite its name this returns the chunk's decoded
+        :class:`~repro.core.record.RegionColumns` — header columns plus
+        the untransposed payload blob — not its framed bytes: the
+        columns are the cold tier's cache unit, sliced by
+        ``RecordLog.region_columns`` and indexed by cold record reads.
+        Callers that need the byte-identical region use
+        :meth:`read_range`.  The columns live outside the zero-copy
+        borrow rules (the blob is an owned buffer), so a later migration
+        or retention pass can never invalidate them; they are shared by
+        every query that hits the cache, hence read-only.
+
+        On a cache miss the frame's stream CRC is re-checked before the
+        chunk is decompressed (see :func:`read_archive_entry`): bit-rot
+        raises :class:`CorruptionError`.  ``stats``, when given, receives
+        per-query cold-decompression accounting (cache hits do not
+        count).
         """
         entry = self._by_chunk.get(chunk_id)
         if entry is None:
@@ -665,25 +981,13 @@ class ArchiveLog:
         cached = self._cache.get(chunk_id)
         if cached is not None:
             return cached
-        streams = self._storage.read(
-            entry.frame_addr + FRAME_HEADER.size, entry.compressed_len
-        )
-        header_stream = zlib.decompress(bytes(streams[: entry.header_len]))
-        payload_blob = zlib.decompress(bytes(streams[entry.header_len :]))
-        region = decode_chunk_region(
-            header_stream,
-            payload_blob,
-            entry.start_addr,
-            entry.record_count,
-            entry.raw_len,
-            entry.flags,
-        )
+        columns = read_archive_entry(self._storage, entry)
         self.decompressions += 1
         if stats is not None:
             stats.cold_chunks_decompressed += 1
         if self._decompress_counter is not None:
             self._decompress_counter.inc()
-        self._cache[chunk_id] = region
+        self._cache[chunk_id] = columns
         while len(self._cache) > self._cache_chunks:
             try:
                 # GIL-atomic pop of the oldest insertion; advisory LRU —
@@ -692,13 +996,24 @@ class ArchiveLog:
                 self._cache.pop(next(iter(self._cache)))
             except (KeyError, StopIteration):
                 break
-        return region
+        return columns
+
+    def read_streams(self, chunk_id: int) -> Tuple[bytes, bytes]:
+        """An archived chunk's verified, inflated ``(header_stream,
+        payload_blob)``, bypassing the cache: the input of the scalar
+        oracle decoder (:func:`decode_chunk_region`)."""
+        entry = self._by_chunk.get(chunk_id)
+        if entry is None:
+            raise AddressError(f"chunk {chunk_id} is not archived")
+        return read_frame_streams(self._storage, entry)
 
     def read_range(
         self, start: int, end: int, stats: "Optional[QueryStats]" = None
     ) -> bytes:
         """Owned bytes for hot-address range ``[start, end)`` from the
-        archive, assembled from the covering chunks' decompressed buffers."""
+        archive: the covering chunks' records re-framed from their cached
+        columns (:func:`~repro.core.record.frame_columns`), byte-identical
+        to the region that was migrated."""
         if start >= end:
             return b""
         parts: List[bytes] = []
@@ -709,7 +1024,7 @@ class ArchiveLog:
                 raise AddressError(
                     f"address {address} is not covered by the archive"
                 )
-            region = self.read_chunk_bytes(entry.chunk_id, stats)
+            region = frame_columns(self.read_chunk_bytes(entry.chunk_id, stats))
             lo = address - entry.start_addr
             hi = min(end, entry.end_addr) - entry.start_addr
             parts.append(region[lo:hi])

@@ -31,8 +31,9 @@ class TierConfig:
             an external driver.
         compression_level: zlib level for both the header-column stream
             and the payload stream of every archive frame.
-        cache_chunks: decompressed chunks kept in the archive read cache
-            (each entry is one ``chunk_size`` owned buffer).
+        cache_chunks: archived chunks kept decoded in the archive read
+            cache (each entry is one chunk's read-only header columns
+            plus its owned payload blob, shared by every query).
         punch_holes: after recycling a migrated prefix of a file-backed
             record log, punch filesystem holes over it (best effort,
             Linux ``fallocate``) so the space is actually reclaimed.  Off

@@ -35,7 +35,7 @@ from . import viewguard
 from .chunk_index import STATE_RETIRED
 from .errors import LoomError
 from .histogram import IndexDefinition
-from .record import HEADER_SIZE, Record
+from .record import Record
 from .snapshot import Snapshot
 from .summary import BinStats, ChunkSummary
 
@@ -406,15 +406,14 @@ def _scan_region(
     matches = np.flatnonzero(mask)
     if matches.size == 0:
         return
-    buffer = columns.buffer
-    view = viewguard.as_view(buffer)
+    view = viewguard.as_view(columns.buffer)
     offsets = columns.offsets
+    payload_starts = columns.payload_starts
     lengths = columns.lengths
     prev_addrs = columns.prev_addrs
     func = index.index_func if index is not None else None
     for i in matches.tolist():
-        offset = int(offsets[i])
-        payload_start = offset + HEADER_SIZE
+        payload_start = int(payload_starts[i])
         payload = view[payload_start : payload_start + int(lengths[i])]
         if func is not None:
             value = func(viewguard.unwrap(payload))
@@ -427,7 +426,7 @@ def _scan_region(
             timestamp=int(timestamps[i]),
             prev_addr=int(prev_addrs[i]),
             payload=bytes(payload) if copy else payload,
-            address=start + offset,
+            address=start + int(offsets[i]),
         )
 
 

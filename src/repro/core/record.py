@@ -41,6 +41,10 @@ from .hybridlog import NULL_ADDRESS
 _BODY = struct.Struct("<IQQI")
 _HEADER = struct.Struct("<IQQII")
 _CRC = struct.Struct("<I")
+#: The 4-byte length field at offset 20 of a record header (sid u32 +
+#: ts u64 + prev u64 precede it); used by the region offset walk, which
+#: needs lengths without decoding whole headers.
+_LEN_FIELD = struct.Struct("<I")
 
 #: Size in bytes of the fixed record header (body + checksum).
 HEADER_SIZE = _HEADER.size  # 28
@@ -113,6 +117,47 @@ class Record:
     @property
     def has_prev(self) -> bool:
         return self.prev_addr != NULL_ADDRESS
+
+
+@dataclass
+class RegionColumns:
+    """Decoded header columns for one contiguous record-log region.
+
+    The columnar read-side counterpart of ``encode_batch``: all record
+    headers in ``[start, end)`` decoded into parallel numpy vectors, with
+    payload bytes left in ``buffer``.  For a hot region ``buffer`` is the
+    framed region itself (a zero-copy storage view when the mmap read
+    tier served it); for an archived chunk it is the chunk's decoded
+    payload blob, with no headers in it.  ``payload_starts`` locates
+    each payload either way.  Operators filter on the columns and touch
+    Python per record only for survivors.  The arrays are read-only:
+    archived chunks' columns are cached and shared across queries.
+    """
+
+    start: int
+    source_ids: np.ndarray
+    timestamps: np.ndarray
+    prev_addrs: np.ndarray
+    lengths: np.ndarray
+    #: Byte offset of each record header from ``start`` (its address
+    #: minus ``start``).
+    offsets: np.ndarray
+    #: Byte offset of each record's payload within ``buffer``.
+    payload_starts: np.ndarray
+    buffer: "bytes | memoryview"
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """Logical record-log address of each record."""
+        return self.offsets + self.start
+
+    def payload_view(self, i: int) -> "bytes | memoryview":
+        """Record ``i``'s payload, sliced in place from ``buffer``."""
+        off = int(self.payload_starts[i])
+        return self.buffer[off : off + int(self.lengths[i])]
 
 
 def record_crc(header_body: "bytes | memoryview", payload: "bytes | memoryview") -> int:
@@ -343,3 +388,85 @@ def verify_record_bytes(data: "bytes | bytearray", offset: int, length: int) -> 
 def record_size(payload_len: int) -> int:
     """On-log footprint of a record with a payload of ``payload_len`` bytes."""
     return HEADER_SIZE + payload_len
+
+
+def record_offsets(buffer: "bytes | memoryview", size: int) -> np.ndarray:
+    """Header offsets of the records framed back to back in ``buffer[:size]``.
+
+    For the common case of fixed-size records the offsets are one
+    ``arange``, validated inductively: offset 0 is a header; if its
+    length is ``first_len`` the next header is at ``stride``; requiring
+    every candidate's length field to equal ``first_len`` proves every
+    candidate is a real header.  Otherwise a Python walk over the length
+    fields finds them (still far cheaper than full per-record decodes).
+    The walk stops at the first header whose length field would run past
+    ``size``; callers that cannot trust the region check the tiling.
+    """
+    unpack_len = _LEN_FIELD.unpack_from
+    first_len = unpack_len(buffer, 20)[0]
+    stride = HEADER_SIZE + first_len
+    if size % stride == 0:
+        raw = np.frombuffer(buffer, np.uint8, count=size)
+        cand = np.arange(0, size, stride, dtype=np.int64)
+        lens = (
+            raw[(cand[:, None] + np.arange(20, 24)).ravel()]
+            .reshape(-1, 4)
+            .copy()
+            .view(np.uint32)
+            .ravel()
+        )
+        if bool((lens == first_len).all()):
+            return cand
+    offs: List[int] = []
+    pos = 0
+    last = size - BODY_SIZE
+    while pos < size:
+        offs.append(pos)
+        if pos > last:
+            break
+        pos += HEADER_SIZE + unpack_len(buffer, pos + 20)[0]
+    return np.array(offs, dtype=np.int64)
+
+
+def frame_columns(columns: RegionColumns) -> bytes:
+    """Re-frame a region's records from their columns, CRCs included.
+
+    The inverse of a columnar decode: the output is the byte-identical
+    framed region (framing and CRC are deterministic functions of the
+    columns).  Headers are built as one structured array; each record's
+    CRC is one ``crc32`` over its body chained into one over its payload.
+    """
+    n = len(columns)
+    if n == 0:
+        return b""
+    bodies = np.empty(n, BODY_DTYPE)
+    bodies["sid"] = columns.source_ids
+    bodies["ts"] = columns.timestamps
+    bodies["prev"] = columns.prev_addrs
+    bodies["len"] = columns.lengths
+    body_view = memoryview(bodies.tobytes())
+    payloads = memoryview(columns.buffer)
+    starts = columns.payload_starts.tolist()
+    lengths = columns.lengths.tolist()
+    crcs = np.fromiter(
+        (
+            crc32(payloads[s : s + n_bytes], crc32(body_view[k : k + BODY_SIZE]))
+            for k, s, n_bytes in zip(range(0, n * BODY_SIZE, BODY_SIZE), starts, lengths)
+        ),
+        np.uint32,
+        n,
+    )
+    offsets = columns.offsets
+    total = int(offsets[-1]) + HEADER_SIZE + lengths[-1]
+    flat = np.zeros(total, np.uint8)
+    headers = np.empty((n, HEADER_SIZE), np.uint8)
+    headers[:, :BODY_SIZE] = bodies.view(np.uint8).reshape(n, BODY_SIZE)
+    headers[:, BODY_SIZE:] = crcs.view(np.uint8).reshape(n, 4)
+    is_payload = np.ones(total, bool)
+    header_pos = (offsets[:, None] + np.arange(HEADER_SIZE)).ravel()
+    flat[header_pos] = headers.ravel()
+    is_payload[header_pos] = False
+    source = np.frombuffer(columns.buffer, np.uint8)
+    gather = np.repeat(columns.payload_starts - offsets - HEADER_SIZE, lengths)
+    flat[is_payload] = source[np.flatnonzero(is_payload) + gather]
+    return flat.tobytes()

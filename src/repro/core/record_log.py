@@ -28,7 +28,7 @@ record log's watermark.
 from __future__ import annotations
 
 import os
-import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -55,11 +55,13 @@ from .record import (
     BODY_SIZE,
     HEADER_SIZE,
     Record,
+    RegionColumns,
     decode_header,
     decode_header_crc,
     encode_batch_arrays,
     encode_record,
     record_crc,
+    record_offsets,
     verify_record_bytes,
 )
 from .storage import FileStorage, Storage, open_storage
@@ -70,45 +72,11 @@ if TYPE_CHECKING:  # typing-only imports; avoid cycles with operators/recovery
     from .operators import QueryStats
     from .recovery import RecoveredState
 
-#: The 4-byte length field at offset 20 of a record header (sid u32 +
-#: ts u64 + prev u64 precede it); used by the region offset walk, which
-#: needs lengths without decoding whole headers.
-_LEN_FIELD = struct.Struct("<I")
-
-
-@dataclass
-class RegionColumns:
-    """Decoded header columns for one contiguous record-log region.
-
-    The columnar read-side counterpart of ``encode_batch``: all record
-    headers in ``[start, start + len(buffer))`` decoded into parallel
-    numpy vectors, with payload bytes left in place in ``buffer`` (which
-    is a zero-copy storage view when the mmap read tier served the
-    region).  Operators filter on the columns and touch Python per record
-    only for survivors.
-    """
-
-    start: int
-    source_ids: np.ndarray
-    timestamps: np.ndarray
-    prev_addrs: np.ndarray
-    lengths: np.ndarray
-    #: Byte offset of each record header within ``buffer``.
-    offsets: np.ndarray
-    buffer: "bytes | memoryview"
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def addresses(self) -> np.ndarray:
-        """Logical record-log address of each record."""
-        return self.offsets + self.start
-
-    def payload_view(self, i: int) -> "bytes | memoryview":
-        """Record ``i``'s payload, sliced in place from the region buffer."""
-        off = int(self.offsets[i]) + HEADER_SIZE
-        return self.buffer[off : off + int(self.lengths[i])]
+#: :attr:`RecordLog._cold_rows`: one archived chunk's columns plus their
+#: offsets, sids, timestamps, prevs, payload starts and lengths as lists.
+_ColdRows = Tuple[
+    RegionColumns, List[int], List[int], List[int], List[int], List[int], List[int]
+]
 
 
 @dataclass
@@ -207,6 +175,10 @@ class RecordLog:
         self._verify_on_read = cfg.verify_on_read
         #: Serve bulk region reads zero-copy from persisted storage.
         self._mmap_reads = cfg.mmap_reads
+        #: The archived chunk :meth:`_read_cold_record` read last, as
+        #: ``(columns, offsets, sids, timestamps, prevs, payload_starts,
+        #: lengths)`` lists; replaced whole (GIL-atomic) by any reader.
+        self._cold_rows: Optional[_ColdRows] = None
 
         # Ingest instruments, held as direct references so the hot path
         # never does a registry lookup.  All of these are written only
@@ -873,11 +845,15 @@ class RecordLog:
     def _read_cold_record(
         self, address: int, stats: "Optional[QueryStats]"
     ) -> Record:
-        """Decode one record from the archive's decompressed chunk buffer.
+        """Read one record from its archived chunk's decoded columns.
 
-        The buffer is an owned copy (outside the zero-copy borrow rules)
-        whose framing — including each record's CRC — was re-derived and
-        length-verified during decode, so no per-read CRC pass is needed.
+        The columns come from the archive's chunk cache; cold bytes are
+        protected by the frame's stream CRC, checked on every cache miss,
+        so no per-record CRC pass runs here.  Chain walks read many
+        records of one chunk in a row, so the chunk last read is kept as
+        Python lists (a one-entry, GIL-atomic memo): each further record
+        is a bisection and a few list lookups.  The payload is an owned
+        ``bytes`` slice of the chunk's payload blob.
         """
         archive = self.archive
         if archive is None:
@@ -895,16 +871,35 @@ class RecordLog:
         entry = archive.entry_for_address(address)
         if entry is None:
             raise AddressError(f"address {address} is not covered by the archive")
-        region = archive.read_chunk_bytes(entry.chunk_id, stats)
+        columns = archive.read_chunk_bytes(entry.chunk_id, stats)
+        rows = self._cold_rows
+        if rows is None or rows[0] is not columns:
+            rows = (
+                columns,
+                columns.offsets.tolist(),
+                columns.source_ids.tolist(),
+                columns.timestamps.tolist(),
+                columns.prev_addrs.tolist(),
+                columns.payload_starts.tolist(),
+                columns.lengths.tolist(),
+            )
+            self._cold_rows = rows
+        _, offsets, source_ids, timestamps, prev_addrs, starts, lengths = rows
         offset = address - entry.start_addr
-        source_id, timestamp, prev_addr, length = decode_header(region, offset)
-        payload = region[offset + HEADER_SIZE : offset + HEADER_SIZE + length]
+        i = bisect_left(offsets, offset)
+        if i == len(offsets) or offsets[i] != offset:
+            raise AddressError(
+                f"address {address} is not a record boundary of archived "
+                f"chunk {entry.chunk_id}"
+            )
+        start = starts[i]
+        payload = columns.buffer[start : start + lengths[i]]
         if hist is not None:
             hist.observe(float(self.metrics.clock.now() - started))
         return Record(
-            source_id=source_id,
-            timestamp=timestamp,
-            prev_addr=prev_addr,
+            source_id=source_ids[i],
+            timestamp=timestamps[i],
+            prev_addr=prev_addrs[i],
             payload=payload,
             address=address,
         )
@@ -981,51 +976,28 @@ class RecordLog:
         """Decode all record headers in ``[start, end)`` into columns.
 
         The vectorized counterpart of :meth:`iter_records_between` for
-        filtering scans: one bulk region fetch (zero-copy via the mmap
-        tier when possible), then every header is gathered into parallel
-        numpy vectors with two array operations.  Returns ``None`` when
-        the region is empty or when ``verify_on_read`` is enabled (CRC
-        verification is a per-record decode concern; callers fall back to
-        the scalar iterator, which verifies).
-
-        For the common case of fixed-size records the header offsets are
-        one ``arange``; otherwise a Python walk over the length fields
-        finds them (still far cheaper than full per-record decodes).
+        filtering scans.  A hot region is one bulk fetch (zero-copy via
+        the mmap tier when possible) whose headers are gathered into
+        parallel numpy vectors with two array operations.  A region below
+        the cold boundary is sliced from the archive's cached chunk
+        columns, which were decoded straight from the archive streams:
+        no record bytes are rebuilt.  Returns ``None`` when the region is
+        empty or when ``verify_on_read`` is enabled (CRC verification is
+        a per-record decode concern; callers fall back to the scalar
+        iterator, which verifies).
         """
         if end <= start or self._verify_on_read:
             return None
-        size = end - start
+        if start < self._cold_boundary:
+            return self._cold_region_columns(start, end, stats)
+        # A migration racing this read makes _region_buffer fall back to
+        # the archive's rebuilt bytes, which decode the same way.
         buffer, _is_view = self._region_buffer(start, end, stats)
         # C-level consumers (frombuffer, struct) need the raw buffer; the
         # unwrap checks the view was not poisoned before decoding starts.
         raw_buffer = viewguard.unwrap(buffer)
         raw = np.frombuffer(raw_buffer, np.uint8)
-        unpack_len = _LEN_FIELD.unpack_from
-        first_len = unpack_len(raw_buffer, 20)[0]
-        stride = HEADER_SIZE + first_len
-        offsets: Optional[np.ndarray] = None
-        if size % stride == 0:
-            # Fixed-size fast path, validated inductively: offset 0 is a
-            # header; if its length is ``first_len`` the next header is at
-            # ``stride``; requiring every candidate's length field to
-            # equal ``first_len`` proves every candidate is a real header.
-            cand = np.arange(0, size, stride, dtype=np.int64)
-            lens = (
-                raw[(cand[:, None] + np.arange(20, 24)).ravel()]
-                .reshape(-1, 4)
-                .copy()
-                .view(np.uint32)
-                .ravel()
-            )
-            if bool((lens == first_len).all()):
-                offsets = cand
-        if offsets is None:
-            offs: List[int] = []
-            pos = 0
-            while pos < size:
-                offs.append(pos)
-                pos += HEADER_SIZE + unpack_len(raw_buffer, pos + 20)[0]
-            offsets = np.array(offs, dtype=np.int64)
+        offsets = record_offsets(raw_buffer, len(raw))
         n = len(offsets)
         headers = raw[
             (offsets[:, None] + np.arange(BODY_SIZE)).ravel()
@@ -1034,7 +1006,6 @@ class RecordLog:
         # taking the struct view, so the view inherits read-onlyness) so
         # nobody can mutate what look like private scratch arrays.
         headers.flags.writeable = False
-        offsets.flags.writeable = False
         bodies = headers.view(BODY_DTYPE).ravel()
         if stats is not None:
             stats.records_decoded += n
@@ -1044,9 +1015,71 @@ class RecordLog:
             timestamps=bodies["ts"],
             prev_addrs=bodies["prev"],
             lengths=bodies["len"],
-            offsets=offsets,
+            offsets=_frozen(offsets),
+            payload_starts=_frozen(offsets + HEADER_SIZE),
             buffer=buffer,
         )
+
+    def _cold_region_columns(
+        self, start: int, end: int, stats: "Optional[QueryStats]"
+    ) -> RegionColumns:
+        """Columns of a region starting below the cold boundary: one slice
+        of cached chunk columns per archived chunk it covers, plus the
+        hot columns of a region straddling the boundary.  Retries,
+        like :meth:`_region_buffer`, when a migration pass moves the
+        boundary under it."""
+        while True:
+            boundary = self._cold_boundary
+            archive = self._cold_archive(start, end)
+            hist = self._m_cold_read_ns
+            started = self.metrics.clock.now() if hist is not None else 0
+            cold_end = min(end, boundary)
+            pieces: List[RegionColumns] = []
+            try:
+                address = start
+                while address < cold_end:
+                    entry = archive.entry_for_address(address)
+                    if entry is None:
+                        raise AddressError(
+                            f"address {address} is not covered by the archive"
+                        )
+                    chunk = archive.read_chunk_bytes(entry.chunk_id, stats)
+                    hi = min(cold_end, entry.end_addr)
+                    if address == entry.start_addr and hi == entry.end_addr:
+                        pieces.append(chunk)
+                    else:
+                        pieces.append(_slice_columns(chunk, address, hi))
+                    address = hi
+                hot = self.region_columns(cold_end, end) if end > cold_end else None
+                if hot is not None:
+                    pieces.append(hot)
+            except AddressError:
+                if self._cold_boundary != boundary:
+                    continue  # migration advanced mid-assembly; redo the split
+                raise
+            if hist is not None:
+                hist.observe(float(self.metrics.clock.now() - started))
+            columns = pieces[0] if len(pieces) == 1 else _concat_columns(start, pieces)
+            if stats is not None:
+                stats.records_decoded += len(columns)
+            return columns
+
+    def _cold_archive(self, start: int, end: int) -> ArchiveLog:
+        """The archive serving cold region ``[start, end)``; raises
+        :class:`AddressError` when none is attached or the region starts
+        below the retention floor."""
+        archive = self.archive
+        if archive is None:
+            raise AddressError(
+                f"region [{start}, {end}) is below the cold boundary "
+                f"but no archive is attached"
+            )
+        if start < self._retention_floor:
+            raise AddressError(
+                f"region [{start}, {end}) starts below the retention "
+                f"floor {self._retention_floor}"
+            )
+        return archive
 
     def _region_buffer(  # loomflow: borrows=storage
         self, start: int, end: int, stats: "Optional[QueryStats]"
@@ -1055,7 +1088,7 @@ class RecordLog:
 
         Returns ``(buffer, is_view)``.  Hot regions come zero-copy from
         the mmap tier when possible; regions at or below the cold
-        boundary are assembled from the archive's decompressed chunks
+        boundary are re-framed from the archive's decoded chunk columns
         into an *owned* buffer (outside the borrow rules), with the hot
         suffix of a straddling region appended via a copying read.  A
         read that races a migration pass (the storage prefix recycling
@@ -1076,17 +1109,7 @@ class RecordLog:
                     if start >= self._cold_boundary:
                         raise
                     continue
-            archive = self.archive
-            if archive is None:
-                raise AddressError(
-                    f"region [{start}, {end}) is below the cold boundary "
-                    f"but no archive is attached"
-                )
-            if start < self._retention_floor:
-                raise AddressError(
-                    f"region [{start}, {end}) starts below the retention "
-                    f"floor {self._retention_floor}"
-                )
+            archive = self._cold_archive(start, end)
             hist = self._m_cold_read_ns
             started = self.metrics.clock.now() if hist is not None else 0
             cold_end = min(end, boundary)
@@ -1243,3 +1266,56 @@ class RecordLog:
         if n_finalized_chunks == 0:
             return 0
         return self.chunk_index.get(n_finalized_chunks - 1).end_addr
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _slice_columns(chunk: RegionColumns, lo: int, hi: int) -> RegionColumns:
+    """The records of archived ``chunk`` in address range ``[lo, hi)``,
+    which must start on a record boundary.  Column slices are views of
+    the cached (read-only) arrays; the payload blob is shared."""
+    offsets = chunk.offsets
+    i = int(np.searchsorted(offsets, lo - chunk.start))
+    j = int(np.searchsorted(offsets, hi - chunk.start))
+    if i < len(offsets) and int(offsets[i]) != lo - chunk.start:
+        raise AddressError(f"address {lo} is not a record boundary")
+    return RegionColumns(
+        start=lo,
+        source_ids=chunk.source_ids[i:j],
+        timestamps=chunk.timestamps[i:j],
+        prev_addrs=chunk.prev_addrs[i:j],
+        lengths=chunk.lengths[i:j],
+        offsets=_frozen(offsets[i:j] - (lo - chunk.start)),
+        payload_starts=chunk.payload_starts[i:j],
+        buffer=chunk.buffer,
+    )
+
+
+def _concat_columns(start: int, pieces: List[RegionColumns]) -> RegionColumns:
+    """Join consecutive regions' columns (a region spanning chunks or the
+    cold boundary).  The pieces' buffers are copied into one."""
+    buffers = [bytes(viewguard.unwrap(piece.buffer)) for piece in pieces]
+    bases = np.cumsum([0] + [len(b) for b in buffers[:-1]])
+
+    def join(name: str) -> np.ndarray:
+        return _frozen(np.concatenate([getattr(p, name) for p in pieces]))
+
+    return RegionColumns(
+        start=start,
+        source_ids=join("source_ids"),
+        timestamps=join("timestamps"),
+        prev_addrs=join("prev_addrs"),
+        lengths=join("lengths"),
+        offsets=_frozen(
+            np.concatenate([p.offsets + (p.start - start) for p in pieces])
+        ),
+        payload_starts=_frozen(
+            np.concatenate(
+                [p.payload_starts + int(b) for p, b in zip(pieces, bases)]
+            )
+        ),
+        buffer=b"".join(buffers),
+    )

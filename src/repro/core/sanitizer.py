@@ -21,7 +21,8 @@ this module checks *behavior*, continuously:
   from chunk-summary bins, the zero-copy view tier (mmap / extent
   ``read_view``) byte-identical to the copying read path, and the
   columnar ``region_columns`` decode field-identical to the scalar
-  record iterator.
+  record iterator, and each archived chunk's cold columns and record
+  reads field-identical to the scalar archive decoder.
 * :func:`install` — monkey-wraps ``RecordLog`` so every instance carries
   a shadow, cheap invariants run at each ``sync`` and the full
   differential oracle at ``close``.  The whole tier-1 suite runs
@@ -49,7 +50,13 @@ from .config import LoomConfig
 from .errors import LoomError
 from .histogram import HistogramSpec, IndexDefinition, IndexFunc
 from .hybridlog import NULL_ADDRESS, Health
-from .archive import MigrationReport, RetentionReport
+from .archive import (
+    MigrationReport,
+    RetentionReport,
+    decode_chunk_region,
+    iter_region_records,
+)
+from .record import HEADER_SIZE
 from .record_log import RecordLog, SourceState
 from .snapshot import Snapshot
 
@@ -601,6 +608,77 @@ def _check_columnar_decode(
             return
 
 
+def _check_cold_columns(record_log: RecordLog, failures: List[str]) -> None:
+    """Cold columns ≡ the scalar archive decode, one archived chunk at a time.
+
+    Each live archived chunk is rebuilt by the per-record oracle
+    decoder (:func:`~repro.core.archive.decode_chunk_region`) from its
+    frame's streams and walked with ``iter_region_records``; the cold
+    ``region_columns`` of exactly that chunk (served from the cached
+    chunk columns) and ``read_record`` of every record in it must match
+    field by field, payloads included.  :func:`_check_columnar_decode`
+    spans chunks, so it never checks the chunk columns unsliced.
+    Stops once ``COLUMNAR_CHECK_CAP`` raw bytes have been checked.
+    """
+    archive = record_log.archive
+    if archive is None:
+        return
+    budget = COLUMNAR_CHECK_CAP
+    for entry in archive.entries():
+        if entry.retired or entry.start_addr < record_log.retention_floor:
+            continue
+        if entry.end_addr > record_log.cold_boundary:
+            break
+        budget -= entry.raw_len
+        if budget < 0:
+            break
+        header_stream, payload_blob = archive.read_streams(entry.chunk_id)
+        region = decode_chunk_region(
+            header_stream,
+            payload_blob,
+            entry.start_addr,
+            entry.record_count,
+            entry.raw_len,
+            entry.flags,
+        )
+        base = entry.start_addr - HEADER_SIZE  # payload offset = address - base
+        expected = [
+            (address, sid, ts, prev, region[address - base : address - base + length])
+            for address, sid, ts, prev, length in iter_region_records(
+                region, entry.start_addr
+            )
+        ]
+        got = [
+            (r.address, r.source_id, r.timestamp, r.prev_addr, bytes(r.payload))
+            for r in (record_log.read_record(e[0]) for e in expected)
+        ]
+        columns = record_log.region_columns(entry.start_addr, entry.end_addr)
+        if columns is not None:
+            addresses = columns.addresses.tolist()
+            got_columns = [
+                (
+                    addresses[i],
+                    int(columns.source_ids[i]),
+                    int(columns.timestamps[i]),
+                    int(columns.prev_addrs[i]),
+                    bytes(columns.payload_view(i)),
+                )
+                for i in range(len(columns))
+            ]
+            if got_columns != expected:
+                failures.append(
+                    f"cold region_columns of archived chunk {entry.chunk_id} "
+                    f"diverges from the scalar archive decode"
+                )
+                return
+        if got != expected:
+            failures.append(
+                f"cold read_record in archived chunk {entry.chunk_id} "
+                f"diverges from the scalar archive decode"
+            )
+            return
+
+
 def _expected_newest_first(mirror: List[ShadowRecord]) -> Iterable[
     Tuple[int, bytes, int]
 ]:
@@ -926,6 +1004,7 @@ def verify_log(
     _check_view_reads(record_log, failures)
     snapshot = Snapshot.capture(record_log)
     _check_columnar_decode(record_log, snapshot, failures)
+    _check_cold_columns(record_log, failures)
     for source_id, mirror in shadow.records.items():
         if source_id not in snapshot.heads:
             continue

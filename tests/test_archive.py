@@ -4,7 +4,9 @@ unified tiered-storage surface.
 ACCEPTANCE scenarios for the tiered-storage API:
 
 * the archive codec round-trips chunk regions *byte-identically* (framing
-  and CRCs are deterministic functions of the columns);
+  and CRCs are deterministic functions of the columns), and its columnar
+  encoder and decoder agree byte for byte with the per-record scalar
+  oracles, including on the inputs that force the scalar fallback;
 * migrating finalized chunks into the archive changes no query answer,
   and the cold read path decompresses only the chunks a query actually
   needs (counter-backed: summary-only aggregates decompress nothing);
@@ -22,11 +24,19 @@ from __future__ import annotations
 import struct
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.archive import (
+    FLAG_TRANSPOSED,
+    _unpack_varints,
+    decode_chunk_columns,
     decode_chunk_region,
     encode_chunk_streams,
+    encode_chunk_streams_scalar,
+    iter_region_records,
 )
 from repro.core.chunk_index import STATE_SUMMARY_ONLY
 from repro.core.clock import VirtualClock
@@ -35,7 +45,7 @@ from repro.core.errors import AddressError, LoomError, StaleViewError
 from repro.core.hybridlog import NULL_ADDRESS
 from repro.core.loom import Loom
 from repro.core.operators import QueryStats
-from repro.core.record import encode_record
+from repro.core.record import HEADER_SIZE, encode_record, frame_columns
 from repro.core.record_log import RecordLog
 from repro.core.recovery import check_data_dir, fsck
 
@@ -79,16 +89,52 @@ def _fill(loom, clock, count=600, sources=(1, 2)):
     return index_ids
 
 
+def _columns_rows(columns):
+    """Per-record ``(address, sid, ts, prev, payload)`` of decoded columns."""
+    return [
+        (
+            columns.start + int(columns.offsets[i]),
+            int(columns.source_ids[i]),
+            int(columns.timestamps[i]),
+            int(columns.prev_addrs[i]),
+            bytes(columns.payload_view(i)),
+        )
+        for i in range(len(columns))
+    ]
+
+
+def _region_rows(region, start_addr):
+    """The same rows walked from a framed region (the scalar side)."""
+    base = start_addr - HEADER_SIZE
+    return [
+        (address, sid, ts, prev, region[address - base : address - base + length])
+        for address, sid, ts, prev, length in iter_region_records(
+            region, start_addr
+        )
+    ]
+
+
 # ----------------------------------------------------------------------
 # Codec: byte-identical round trips
 # ----------------------------------------------------------------------
 class TestCodec:
     def _roundtrip(self, region, start_addr=0):
-        header, blob, count, flags = encode_chunk_streams(region, start_addr)
+        """Round-trip ``region`` through both codecs: the columnar encoder
+        must emit the scalar oracle's exact streams, and the columnar
+        decode must hold the scalar decode's records and re-frame to the
+        original bytes."""
+        streams = encode_chunk_streams(region, start_addr)
+        assert streams == encode_chunk_streams_scalar(region, start_addr)
+        header, blob, count, flags = streams
         rebuilt = decode_chunk_region(
             header, blob, start_addr, count, len(region), flags
         )
         assert rebuilt == region
+        columns = decode_chunk_columns(
+            header, blob, start_addr, count, len(region), flags
+        )
+        assert _columns_rows(columns) == _region_rows(region, start_addr)
+        assert frame_columns(columns) == region
         return header, blob
 
     def test_uniform_records_round_trip(self):
@@ -118,14 +164,24 @@ class TestCodec:
         self._roundtrip(region)
 
     def test_fixed_width_payloads_transpose(self):
-        from repro.core.archive import FLAG_TRANSPOSED
-
         region = b""
         for i in range(16):
             region += encode_record(3, 10 * i, NULL_ADDRESS, _VALUE.pack(float(i)))
-        header, blob, count, flags = encode_chunk_streams(region, 0)
-        assert flags & FLAG_TRANSPOSED
-        assert decode_chunk_region(header, blob, 0, count, len(region), flags) == region
+        _header, _blob = self._roundtrip(region)
+        assert encode_chunk_streams(region, 0)[3] & FLAG_TRANSPOSED
+
+    def test_single_record_chunk(self):
+        self._roundtrip(encode_record(5, 2**61, NULL_ADDRESS, b"only"), 4096)
+
+    def test_out_of_range_inputs_fall_back_to_scalar(self):
+        """Timestamps >= 2**62 leave the columnar encoder's range and a
+        delta of delta over 63 bits leaves the columnar decoder's: both
+        fall back to the scalar codec, still byte for byte."""
+        region = b""
+        for i, ts in enumerate((0, 2**64 - 1, 3, 2**63)):
+            region += encode_record(1, ts, NULL_ADDRESS, bytes([i]) * i)
+        header, _blob = self._roundtrip(region)
+        assert _unpack_varints(header, 1 + 4 * 4, 0) is None
 
     def test_compression_beats_raw_on_telemetry_shapes(self):
         import zlib
@@ -139,6 +195,186 @@ class TestCodec:
         header, blob, _count, _flags = encode_chunk_streams(region, 0)
         compressed = len(zlib.compress(header, 6)) + len(zlib.compress(blob, 6))
         assert compressed * 4 <= len(region)
+
+
+#: Timestamp shapes: monotone telemetry clocks, arbitrary (non-monotone)
+#: values inside the columnar range, and values at or above 2**62 that
+#: force the scalar fallback on both sides of the codec.
+_timestamps = st.one_of(
+    st.integers(0, 2**40).flatmap(
+        lambda base: st.lists(st.integers(0, 1000), min_size=1, max_size=40).map(
+            lambda steps: [base + sum(steps[: i + 1]) for i in range(len(steps))]
+        )
+    ),
+    st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=40),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+)
+
+
+@st.composite
+def _chunk_regions(draw):
+    """A framed chunk region: mixed sources and payload widths (or one
+    shared width, which transposes), zero-length payloads, chained and
+    NULL back-pointers."""
+    timestamps = draw(_timestamps)
+    n = len(timestamps)
+    sids = draw(
+        st.lists(
+            st.sampled_from([0, 1, 7, 2**32 - 1]), min_size=n, max_size=n
+        )
+    )
+    width = draw(st.one_of(st.none(), st.integers(0, 24)))
+    payloads = [
+        draw(st.binary(min_size=width, max_size=width))
+        if width is not None
+        else draw(st.binary(max_size=40))
+        for _ in range(n)
+    ]
+    start_addr = draw(st.integers(0, 2**40))
+    region = b""
+    heads = {}
+    for sid, ts, payload in zip(sids, timestamps, payloads):
+        prev = heads.get(sid, NULL_ADDRESS) if draw(st.booleans()) else NULL_ADDRESS
+        heads[sid] = start_addr + len(region)
+        region += encode_record(sid, ts, prev, payload)
+    return region, start_addr
+
+
+class TestColumnarCodec:
+    """The vectorized chunk codec against the per-record scalar oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chunk_regions())
+    def test_columnar_codec_matches_scalar_oracles(self, drawn):
+        region, start_addr = drawn
+        streams = encode_chunk_streams(region, start_addr)
+        assert streams == encode_chunk_streams_scalar(region, start_addr)
+        header, blob, count, flags = streams
+        columns = decode_chunk_columns(
+            header, blob, start_addr, count, len(region), flags
+        )
+        rebuilt = decode_chunk_region(
+            header, blob, start_addr, count, len(region), flags
+        )
+        assert rebuilt == region
+        assert _columns_rows(columns) == _region_rows(rebuilt, start_addr)
+        assert frame_columns(columns) == region
+
+    def test_count_and_length_mismatches_raise_corruption(self):
+        from repro.core.errors import CorruptionError
+
+        region = b"".join(
+            encode_record(1, i, NULL_ADDRESS, b"ab") for i in range(4)
+        )
+        header, blob, count, flags = encode_chunk_streams(region, 64)
+        with pytest.raises(CorruptionError) as exc_info:
+            decode_chunk_columns(header, blob, 64, count + 1, len(region), flags)
+        assert exc_info.value.address == 64
+        with pytest.raises(CorruptionError):
+            decode_chunk_columns(header, blob, 64, count, len(region) + 1, flags)
+        with pytest.raises(CorruptionError):
+            decode_chunk_columns(header, blob[:-1], 64, count, len(region), flags)
+
+    def test_cached_cold_columns_are_read_only(self):
+        """Cold columns are cached and shared across queries: neither the
+        cached chunk nor a slice served by region_columns is writable."""
+        clock = VirtualClock(1_000)
+        loom = Loom(_tiered_config(), clock=clock)
+        _fill(loom, clock)
+        loom.migrate(force=True)
+        log = loom.record_log
+        entry = log.archive.entries()[0]
+        cached = log.archive.read_chunk_bytes(entry.chunk_id)
+        assert log.archive.read_chunk_bytes(entry.chunk_id) is cached
+        sliced = log.region_columns(
+            entry.start_addr + int(cached.offsets[1]), entry.end_addr
+        )
+        for columns in (cached, sliced):
+            assert isinstance(columns.buffer, bytes)
+            for array in (
+                columns.source_ids,
+                columns.timestamps,
+                columns.prev_addrs,
+                columns.lengths,
+                columns.offsets,
+                columns.payload_starts,
+            ):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        assert _columns_rows(sliced) == _columns_rows(cached)[1:]
+        loom.close()
+
+    def test_concurrent_cold_reads_get_their_own_records(self):
+        """Reader threads share the chunk cache and the cold-record memo:
+        with a short switch interval, every thread hopping between chunks
+        in its own random order still gets exactly the record at the
+        address it asked for."""
+        import random
+        import sys
+        import threading
+
+        clock = VirtualClock(1_000)
+        loom = Loom(
+            _tiered_config(
+                tier=TierConfig(auto_migrate=False, cache_chunks=2)
+            ),
+            clock=clock,
+        )
+        _fill(loom, clock)
+        loom.migrate(force=True)
+        log = loom.record_log
+        expected = {
+            r.address: (r.source_id, r.timestamp, r.prev_addr, bytes(r.payload))
+            for r in log.iter_records_between(0, log.cold_boundary)
+        }
+        addresses = sorted(expected)
+        errors = []
+
+        def reader(seed):
+            order = addresses * 4
+            random.Random(seed).shuffle(order)
+            for address in order:
+                r = log.read_record(address)
+                got = (r.source_id, r.timestamp, r.prev_addr, bytes(r.payload))
+                if r.address != address or got != expected[address]:
+                    errors.append(address)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(k,)) for k in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        loom.close()
+
+    def test_cold_region_spanning_chunks_and_boundary(self):
+        """A region from the archive across the cold boundary into the
+        hot log decodes to the same rows as the byte-level iterator."""
+        clock = VirtualClock(1_000)
+        loom = Loom(_tiered_config(), clock=clock)
+        _fill(loom, clock)
+        loom.migrate(force=True)
+        log = loom.record_log
+        start = log.archive.entries()[1].start_addr
+        end = log.log.watermark
+        assert start < log.cold_boundary < end
+        columns = log.region_columns(start, end)
+        expected = [
+            (r.address, r.source_id, r.timestamp, r.prev_addr, bytes(r.payload))
+            for r in log.iter_records_between(start, end)
+        ]
+        assert _columns_rows(columns) == expected
+        assert np.all(np.diff(columns.addresses) > 0)
+        loom.close()
 
 
 # ----------------------------------------------------------------------

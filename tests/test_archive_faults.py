@@ -168,3 +168,98 @@ class TestMidPassFailure:
         assert loom.record_log.cold_boundary > 0
         assert _scan_bytes(loom) == before
         loom.close()
+
+
+class TestColdBitRot:
+    """Bit-rot in archived bytes surfaces as a typed CorruptionError at
+    the chunk's address on the next cache miss — never as a bare
+    ``zlib.error`` or a silently different record."""
+
+    def _flip(self, path, offset):
+        with open(path, "r+b") as f:
+            f.seek(offset)
+            byte = f.read(1)
+            f.seek(offset)
+            f.write(bytes([byte[0] ^ 0x40]))
+
+    def test_flipped_payload_stream_byte_raises_corruption(self, tmp_path):
+        from repro.core.archive import FRAME_HEADER
+        from repro.core.errors import CorruptionError
+
+        cfg = _tiered_config(tmp_path)
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        _fill(loom, clock)
+        loom.migrate(force=True)
+        loom.sync()
+        before = _scan_bytes(loom)
+        archive = loom.record_log.archive
+        entry = archive.entries()[0]
+        offset = entry.frame_addr + FRAME_HEADER.size + entry.header_len + 1
+        self._flip(cfg.archive_log_path(), offset)
+        archive._cache.clear()
+
+        with pytest.raises(CorruptionError) as exc_info:
+            loom.scan(1, ALL_TIME)
+        assert exc_info.value.address == entry.start_addr
+        assert "CRC" in str(exc_info.value)
+
+        # Repaired bytes read back identically once the cache is cold.
+        self._flip(cfg.archive_log_path(), offset)
+        archive._cache.clear()
+        assert _scan_bytes(loom) == before
+        loom.close()
+
+    def test_undecompressable_stream_raises_corruption(self):
+        """A stream whose CRC matches but that zlib cannot inflate (or
+        that inflates to the wrong shape) is corruption too."""
+        import zlib
+
+        from repro.core.archive import (
+            FRAME_HEADER,
+            ArchiveEntry,
+            encode_chunk_streams,
+            read_archive_entry,
+        )
+        from repro.core.errors import CorruptionError
+        from repro.core.record import encode_record
+        from repro.core.storage import MemoryStorage
+
+        def entry_over(streams, **fields):
+            storage = MemoryStorage()
+            storage.append(bytes(FRAME_HEADER.size) + streams)
+            header_len = fields.pop("header_len")
+            entry = ArchiveEntry(
+                chunk_id=9,
+                start_addr=4096,
+                end_addr=4096 + fields["raw_len"],
+                record_count=fields["record_count"],
+                frame_addr=0,
+                header_len=header_len,
+                payload_len=len(streams) - header_len,
+                raw_len=fields["raw_len"],
+                flags=fields["flags"],
+                crc=zlib.crc32(streams),
+            )
+            return storage, entry
+
+        storage, entry = entry_over(
+            bytes(16), header_len=8, record_count=1, raw_len=30, flags=0
+        )
+        with pytest.raises(CorruptionError, match="decompress") as exc_info:
+            read_archive_entry(storage, entry)
+        assert exc_info.value.address == 4096
+
+        region = encode_record(1, 5, 2**64 - 1, b"xy")
+        header, blob, count, flags = encode_chunk_streams(region, 4096)
+        streams = zlib.compress(header) + zlib.compress(blob)
+        storage, entry = entry_over(
+            streams,
+            header_len=len(zlib.compress(header)),
+            record_count=count + 1,
+            raw_len=len(region),
+            flags=flags,
+        )
+        with pytest.raises(CorruptionError) as exc_info:
+            read_archive_entry(storage, entry)
+        assert exc_info.value.address == 4096
