@@ -51,24 +51,24 @@ def main() -> None:
 
     # --- indexed aggregates: served largely from chunk summaries -------
     for method in ("count", "min", "max", "mean"):
-        result = loom.indexed_aggregate(LATENCY_SOURCE, latency_index, t_all, method)
+        result = loom.aggregate(LATENCY_SOURCE, latency_index, t_all, method)
         print(f"  {method:>5}: {result.value:,.2f}")
 
-    p999 = loom.indexed_aggregate(
+    p999 = loom.aggregate(
         LATENCY_SOURCE, latency_index, t_all, "percentile", percentile=99.9
     )
     print(f"  p99.9: {p999.value:.2f} µs (exact, via the bin-CDF walk; "
           f"scanned {p999.stats.records_scanned:,} of {loom.total_records:,} records)")
 
     # --- indexed range scan: the slow tail ------------------------------
-    slow = loom.indexed_scan(
+    slow = loom.scan_indexed(
         LATENCY_SOURCE, latency_index, t_all, (p999.value, float("inf"))
-    )
+    ).records
     print(f"  {len(slow)} records at or above p99.9")
 
     # --- raw scan: everything in the last virtual second ---------------
     last_second = (clock.now() - seconds(1), clock.now())
-    recent = loom.raw_scan(LATENCY_SOURCE, last_second)
+    recent = loom.scan(LATENCY_SOURCE, last_second).records
     print(f"  {len(recent):,} records in the last virtual second")
 
     # --- footprint: the layered indexes are tiny vs the record log -----

@@ -94,7 +94,7 @@ def main(sampled: bool = False) -> None:
     found_mangled = 0
     for anchor in slow_requests:
         window = (anchor.timestamp - seconds(5), anchor.timestamp + seconds(5))
-        packets = loom.raw_scan(events.SRC_PACKET, window)
+        packets = loom.scan(events.SRC_PACKET, window).records
         mangled = [
             p for p in packets
             if events.unpack_packet(p.payload)[1] == events.MANGLED_PORT

@@ -51,9 +51,10 @@ from .operators import (
 )
 from .record import HEADER_SIZE, Record
 from .recovery import (
+    CheckReport,
     RecoveredSource,
     RecoveredState,
-    fsck,
+    check_data_dir,
     recover,
     scan_persisted_records,
     scan_persisted_summaries,
@@ -70,6 +71,7 @@ __all__ = [
     "AddressError",
     "AggregateResult",
     "ArchiveLog",
+    "CheckReport",
     "ChunkMigrator",
     "BinStats",
     "ChunkSummary",
@@ -125,9 +127,9 @@ __all__ = [
     "UnknownIndexError",
     "UnknownSourceError",
     "VirtualClock",
+    "check_data_dir",
     "corrupt_byte",
     "exponential_edges",
-    "fsck",
     "indexed_aggregate",
     "indexed_scan",
     "micros",

@@ -42,7 +42,7 @@ range pays a decompression.  This module implements that trade
 Reader-path discipline: decompressed chunk reads are reachable from
 query threads (``RecordLog.read_record`` is a loomlint LOOM101 reader
 root), so this module's read side takes no locks — the chunk cache uses
-only GIL-atomic dict operations and tolerates racy evictions.
+only GIL-atomic dict and deque operations and tolerates racy evictions.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ import struct
 import threading
 import zlib
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -749,6 +750,8 @@ class ArchiveLog:
         self._by_chunk: Dict[int, ArchiveEntry] = {}
         #: Decoded chunk columns by chunk id (see :meth:`read_chunk_bytes`).
         self._cache: Dict[int, RegionColumns] = {}
+        #: ``(chunk_id, columns)`` in insertion order: the eviction queue.
+        self._cache_order: Deque[Tuple[int, RegionColumns]] = deque()
         self.recycled_upto = 0
         self.retention_floor = 0
         self.retention_mode = 0
@@ -988,14 +991,20 @@ class ArchiveLog:
         if self._decompress_counter is not None:
             self._decompress_counter.inc()
         self._cache[chunk_id] = columns
-        while len(self._cache) > self._cache_chunks:
+        order = self._cache_order
+        order.append((chunk_id, columns))
+        # Evict oldest insertions first without iterating the dict, which
+        # a racing reader's insert would break.  Deque ops and
+        # ``dict.pop(key, None)`` are GIL-atomic; an entry another reader
+        # already replaced or evicted is left alone.  Advisory LRU: a
+        # race costs at most a re-decompression.
+        while len(order) > self._cache_chunks:
             try:
-                # GIL-atomic pop of the oldest insertion; advisory LRU —
-                # a racing reader may evict a fresh entry, which only
-                # costs a re-decompression.
-                self._cache.pop(next(iter(self._cache)))
-            except (KeyError, StopIteration):
+                victim_id, victim = order.popleft()
+            except IndexError:
                 break
+            if self._cache.get(victim_id) is victim:
+                self._cache.pop(victim_id, None)
         return columns
 
     def read_streams(self, chunk_id: int) -> Tuple[bytes, bytes]:

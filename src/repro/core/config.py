@@ -11,7 +11,6 @@ harness picks sizes appropriate to each experiment.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,11 +33,9 @@ class TierConfig:
         cache_chunks: archived chunks kept decoded in the archive read
             cache (each entry is one chunk's read-only header columns
             plus its owned payload blob, shared by every query).
-        punch_holes: after recycling a migrated prefix of a file-backed
-            record log, punch filesystem holes over it (best effort,
-            Linux ``fallocate``) so the space is actually reclaimed.  Off
-            by default: recycling is then a metadata-only boundary and
-            the bytes remain until the log is compacted offline.
+
+    Recycling a migrated prefix of the hot record log is a metadata-only
+    boundary: the bytes stay in the file until it is compacted offline.
     """
 
     migrate_high_watermark: int = 8
@@ -46,7 +43,6 @@ class TierConfig:
     auto_migrate: bool = True
     compression_level: int = 6
     cache_chunks: int = 4
-    punch_holes: bool = False
 
     def __post_init__(self) -> None:
         if self.migrate_low_watermark < 0:
@@ -107,15 +103,11 @@ class LoomConfig:
             publication step (``sync`` always forces it).
         threaded_flush: flush full blocks on a background thread (the
             paper's behaviour) instead of inline.
-        data_dir: directory for the three log files, or ``None`` to keep
-            all logs in memory (tests, benchmarks).
-        inline_read_size: speculative read size for single-record decodes
-            (record header plus a typical payload).  Deployments with
-            larger records can raise this so point reads stay one log
-            read; must cover at least the 28-byte record header.
-        checksum_frames: maintain a sidecar frame journal (``<log>.crc``)
-            per persisted log, checksumming every flushed extent so
-            recovery can detect bulk bit-rot without decoding records.
+        data_dir: directory for the log files, or ``None`` to keep all
+            logs in memory (tests, benchmarks).  Every persisted log gets
+            a sidecar frame journal (``<log>.crc``) checksumming each
+            flushed extent, so recovery can detect bulk bit-rot without
+            decoding records.
         verify_on_read: CRC-check every record as it is decoded from the
             persisted log (reads of corrupt records raise
             :class:`~repro.core.errors.CorruptionError`).  Off by default —
@@ -130,12 +122,9 @@ class LoomConfig:
             fallback counters — see :mod:`repro.core.metrics`).  On by
             default; the observability overhead benchmark uses the off
             mode as its uninstrumented baseline.
-        mmap_reads: serve bulk reads of the persisted record-log prefix
-            zero-copy through ``Storage.read_view`` (a read-only mmap on
-            file-backed logs, retained flush extents in memory).  Only the
-            sequential scan path uses views; point reads and the seqlock
-            in-memory path are unaffected.  Off disables the view tier so
-            every read goes through the copying ``read`` path.
+        tier: cold-tier (archive) policy, or ``None`` for a hot-only log.
+        retention: what happens to archived chunks past the retention
+            horizon, or ``None`` to keep them forever; requires ``tier``.
     """
 
     chunk_size: int = 16 * 1024
@@ -146,88 +135,26 @@ class LoomConfig:
     publish_interval: int = 1
     threaded_flush: bool = False
     data_dir: Optional[str] = None
-    inline_read_size: int = 256
-    checksum_frames: bool = True
     verify_on_read: bool = False
     flush_retries: int = 3
     flush_backoff: float = 0.001
     metrics_enabled: bool = True
-    mmap_reads: bool = True
     tier: Optional[TierConfig] = None
     retention: Optional[RetentionPolicy] = None
-    # Deprecated flat knobs, folded into ``tier``/``retention`` by
-    # ``__post_init__`` (kept one release as DeprecationWarning shims,
-    # same migration pattern as the QueryResult out-params).
-    archive_enabled: Optional[bool] = None
-    retention_horizon_ns: Optional[int] = None
-    retention_downsample: Optional[int] = None
-    migrate_watermark: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self._fold_deprecated_tier_kwargs()
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.publish_interval < 1:
             raise ValueError("publish_interval must be >= 1")
         if self.timestamp_interval < 1:
             raise ValueError("timestamp_interval must be >= 1")
-        # 28 == record header size (24-byte body + 4-byte CRC); config must
-        # not import the record module (layering), so the constant is
-        # repeated here.
-        if self.inline_read_size < 28:
-            raise ValueError("inline_read_size must cover the 28-byte header")
         if self.flush_retries < 0:
             raise ValueError("flush_retries must be >= 0")
         if self.flush_backoff < 0:
             raise ValueError("flush_backoff must be >= 0")
         if self.retention is not None and self.tier is None:
             raise ValueError("retention requires a tier (archive) config")
-
-    def _fold_deprecated_tier_kwargs(self) -> None:
-        """Map the old flat archive/retention kwargs onto the typed
-        ``TierConfig``/``RetentionPolicy`` objects (deprecation shims)."""
-        tier = self.tier
-        retention = self.retention
-        if self.archive_enabled is not None or self.migrate_watermark is not None:
-            warnings.warn(
-                "LoomConfig(archive_enabled=..., migrate_watermark=...) is "
-                "deprecated; pass tier=TierConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if tier is None and (self.archive_enabled or self.migrate_watermark):
-                high = self.migrate_watermark or TierConfig.migrate_high_watermark
-                tier = TierConfig(
-                    migrate_high_watermark=high,
-                    migrate_low_watermark=min(
-                        TierConfig.migrate_low_watermark, high
-                    ),
-                )
-        if (
-            self.retention_horizon_ns is not None
-            or self.retention_downsample is not None
-        ):
-            warnings.warn(
-                "LoomConfig(retention_horizon_ns=..., retention_downsample=...)"
-                " is deprecated; pass retention=RetentionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if retention is None and self.retention_horizon_ns is not None:
-                if self.retention_downsample:
-                    retention = RetentionPolicy(
-                        horizon_ns=self.retention_horizon_ns,
-                        mode="downsample",
-                        keep_every=self.retention_downsample,
-                    )
-                else:
-                    retention = RetentionPolicy(
-                        horizon_ns=self.retention_horizon_ns
-                    )
-            if tier is None and retention is not None:
-                tier = TierConfig()
-        object.__setattr__(self, "tier", tier)
-        object.__setattr__(self, "retention", retention)
 
     def record_log_path(self) -> Optional[str]:
         return self._path("records.log")
@@ -254,7 +181,7 @@ class LoomConfig:
         return self._journal_path(self.timestamp_index_path())
 
     def _journal_path(self, log_path: Optional[str]) -> Optional[str]:
-        if log_path is None or not self.checksum_frames:
+        if log_path is None:
             return None
         return log_path + ".crc"
 

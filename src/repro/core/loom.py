@@ -14,10 +14,16 @@ Figure 9:
 ``push(source_id, bytes)``                                      ingest
 ``push_many(source_id, payloads)``                              ingest
 ``sync(source_id)``                                             ingest
-``raw_scan(source_id, t_range, func)``                          query
-``indexed_scan(source_id, index_id, t_range, v_range, func)``   query
-``indexed_aggregate(source_id, index_id, t_range, method)``     query
+``scan(source_id, t_range, func)``                              query
+``scan_indexed(source_id, index_id, t_range, v_range, func)``   query
+``aggregate(source_id, index_id, t_range, method)``             query
 ==============================================================  =========
+
+The paper names the three query operators ``raw_scan``,
+``indexed_scan`` and ``indexed_aggregate``; here those names belong to
+the operator functions in :mod:`repro.core.operators`, and the methods
+above wrap them, returning a :class:`~repro.core.operators.QueryResult`
+that carries the records or value together with the work counters.
 
 Queries linearize at snapshot creation (section 4.5); each query method
 takes its own snapshot unless handed an explicit one, so a drill-down
@@ -26,7 +32,6 @@ sequence can pin a single consistent view across several operator calls.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import TracebackType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
@@ -40,7 +45,6 @@ from .histogram import HistogramSpec, IndexDefinition, IndexFunc
 from .hybridlog import Health
 from .metrics import Counter, MetricsRegistry, RegistrySnapshot
 from .operators import (
-    AggregateResult,
     NEG_INF,
     POS_INF,
     QueryResult,
@@ -260,9 +264,9 @@ class Loom:
         """Scan a source in a time and value range using an index.
 
         Surviving chunks are scanned columnar: header columns are decoded
-        in bulk (zero-copy from persisted storage when ``mmap_reads`` is
-        on) and the source/time predicates run as one vectorized mask, so
-        per-record Python work happens only for matching records.
+        in bulk (zero-copy from persisted storage) and the source/time
+        predicates run as one vectorized mask, so per-record Python work
+        happens only for matching records.
         """
         snap = snapshot or self.snapshot()
         index = self._check_index(source_id, index_id)
@@ -391,91 +395,6 @@ class Loom:
         tooling can verify layout agreement without reaching into the
         record log)."""
         return self._check_index(source_id, index_id).spec
-
-    # ------------------------------------------------------------------
-    # Deprecated query shims (pre-QueryResult signatures)
-    # ------------------------------------------------------------------
-    def raw_scan(
-        self,
-        source_id: int,
-        t_range: TimeRange,
-        func: Optional[RecordFunc] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> Optional[List[Record]]:
-        """Deprecated: use :meth:`scan`, which returns a
-        :class:`~repro.core.operators.QueryResult`.
-
-        Behaviour is unchanged — the record list (or ``None`` under the
-        streaming ``func`` form), with work counters merged into a
-        caller-supplied ``stats``.
-        """
-        warnings.warn(
-            "Loom.raw_scan() is deprecated; use Loom.scan(), which returns "
-            "a QueryResult carrying the records and the QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.scan(source_id, t_range, func=func, snapshot=snapshot)
-        if stats is not None:
-            stats.merge(result.stats)
-        return result.records
-
-    def indexed_scan(
-        self,
-        source_id: int,
-        index_id: int,
-        t_range: TimeRange,
-        v_range: ValueRange = (NEG_INF, POS_INF),
-        func: Optional[RecordFunc] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> Optional[List[Record]]:
-        """Deprecated: use :meth:`scan_indexed` (returns a QueryResult)."""
-        warnings.warn(
-            "Loom.indexed_scan() is deprecated; use Loom.scan_indexed(), "
-            "which returns a QueryResult carrying the records and the "
-            "QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.scan_indexed(
-            source_id, index_id, t_range, v_range, func=func, snapshot=snapshot
-        )
-        if stats is not None:
-            stats.merge(result.stats)
-        return result.records
-
-    def indexed_aggregate(
-        self,
-        source_id: int,
-        index_id: int,
-        t_range: TimeRange,
-        method: str,
-        percentile: Optional[float] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> AggregateResult:
-        """Deprecated: use :meth:`aggregate` (returns a QueryResult)."""
-        warnings.warn(
-            "Loom.indexed_aggregate() is deprecated; use Loom.aggregate(), "
-            "which returns a QueryResult carrying the value and the "
-            "QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.aggregate(
-            source_id, index_id, t_range, method,
-            percentile=percentile, snapshot=snapshot,
-        )
-        if stats is not None:
-            stats.merge(result.stats)
-            return AggregateResult(
-                value=result.value, count=result.count, stats=stats
-            )
-        return AggregateResult(
-            value=result.value, count=result.count, stats=result.stats
-        )
 
     def _check_index(self, source_id: int, index_id: int) -> IndexDefinition:
         index = self._record_log.get_index(index_id)

@@ -79,10 +79,9 @@ class QueryStats:
     def merge(self, other: "QueryStats") -> None:
         """Fold another query's counters into this one.
 
-        Used by callers that accumulate work across several operator
-        calls (one logical query, many aggregates) and by the deprecated
-        ``stats=`` shims, which run the operator against a fresh
-        :class:`QueryStats` and merge it into the caller's.
+        Used by callers that accumulate work across several query calls
+        (one logical query, many aggregates) and by the distributed
+        coordinator, which folds every shard's counters into one.
         """
         self.records_scanned += other.records_scanned
         self.records_matched += other.records_matched
@@ -149,8 +148,8 @@ class QueryResult:
     Scans fill :attr:`records` (``None`` when driven by a streaming
     ``func``); aggregates fill :attr:`value`.  :attr:`count` is the
     number of matched records either way.  :attr:`stats` always carries
-    the work counters that used to be threaded through ``stats=``
-    out-params, and :attr:`trace` the optional stage trace.
+    the query's work counters, and :attr:`trace` the optional stage
+    trace.
     :attr:`source` is a display label for the queried source — the
     daemon resolves it to the source *name*; the core falls back to the
     numeric id.

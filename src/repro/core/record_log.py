@@ -64,13 +64,17 @@ from .record import (
     record_offsets,
     verify_record_bytes,
 )
-from .storage import FileStorage, Storage, open_storage
+from .storage import Storage, open_storage
 from .summary import ChunkSummary
 from .timestamp_index import KIND_CHUNK, TimestampIndex
 
 if TYPE_CHECKING:  # typing-only imports; avoid cycles with operators/recovery
     from .operators import QueryStats
     from .recovery import RecoveredState
+
+#: Speculative read size for single-record decodes: the record header
+#: plus a typical payload, so most point reads are one log read.
+_INLINE_READ_SIZE = 256
 
 #: :attr:`RecordLog._cold_rows`: one archived chunk's columns plus their
 #: offsets, sids, timestamps, prevs, payload starts and lengths as lists.
@@ -127,16 +131,11 @@ class RecordLog:
                 return None
             return LogScope(self.metrics, log_name)
 
-        def _journal(path: Optional[str]) -> Optional[Storage]:
-            if not cfg.checksum_frames:
-                return None
-            return open_storage(path)
-
         self.log = HybridLog(
             storage=open_storage(cfg.record_log_path()),
             block_size=cfg.record_block_size,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.record_log_journal_path()),
+            frame_journal=open_storage(cfg.record_log_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("record"),
@@ -145,7 +144,7 @@ class RecordLog:
             storage=open_storage(cfg.chunk_index_path()),
             block_size=cfg.index_block_size,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.chunk_index_journal_path()),
+            frame_journal=open_storage(cfg.chunk_index_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("chunk_index"),
@@ -155,7 +154,7 @@ class RecordLog:
             block_size=cfg.timestamp_block_size,
             record_interval=cfg.timestamp_interval,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.timestamp_index_journal_path()),
+            frame_journal=open_storage(cfg.timestamp_index_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("timestamp_index"),
@@ -168,13 +167,8 @@ class RecordLog:
         self._records_since_publish = 0
         self._closed = False
         self.total_records = 0
-        #: Speculative read size (header + typical payload); configurable
-        #: so deployments with larger records keep single-read decodes.
-        self._inline_read = cfg.inline_read_size
         #: CRC-check records as they are decoded from the log.
         self._verify_on_read = cfg.verify_on_read
-        #: Serve bulk region reads zero-copy from persisted storage.
-        self._mmap_reads = cfg.mmap_reads
         #: The archived chunk :meth:`_read_cold_record` read last, as
         #: ``(columns, offsets, sids, timestamps, prevs, payload_starts,
         #: lengths)`` lists; replaced whole (GIL-atomic) by any reader.
@@ -276,7 +270,7 @@ class RecordLog:
                 )
             self.archive = ArchiveLog.open(
                 open_storage(archive_path),
-                _journal(cfg.archive_journal_path()),
+                open_storage(cfg.archive_journal_path()),
                 compression_level=tier.compression_level,
                 cache_chunks=tier.cache_chunks,
                 decompress_counter=decompress_counter,
@@ -284,8 +278,6 @@ class RecordLog:
             self._cold_boundary = self.archive.recycled_upto
             self._retention_floor = self.archive.retention_floor
             storage = self.log.storage
-            if isinstance(storage, FileStorage):
-                storage.punch_holes = tier.punch_holes
             if self._cold_boundary > 0:
                 # The archived prefix is cold-authoritative from the first
                 # read: arm the storage boundary so stale addresses below
@@ -820,7 +812,7 @@ class RecordLog:
         return self._read_cold_record(address, stats)
 
     def _read_hot_record(self, address: int) -> Record:
-        data = self.log.read_upto(address, self._inline_read)
+        data = self.log.read_upto(address, _INLINE_READ_SIZE)
         source_id, timestamp, prev_addr, length = decode_header(data)
         if HEADER_SIZE + length <= len(data):
             payload = data[HEADER_SIZE : HEADER_SIZE + length]
@@ -927,9 +919,9 @@ class RecordLog:
         operators, which only feed payloads to index functions, use the
         zero-copy mode.
 
-        When the region is fully persisted and ``mmap_reads`` is enabled,
-        the region buffer itself is a zero-copy storage view (no bulk
-        read copy at all); otherwise one log read fetches it.
+        When the region is fully persisted, the region buffer itself is a
+        zero-copy storage view (no bulk read copy at all); otherwise one
+        log read fetches it.
         """
         if end <= start:
             return
@@ -1099,9 +1091,7 @@ class RecordLog:
             if start >= boundary:
                 try:
                     size = end - start
-                    region = (
-                        self.log.read_view(start, size) if self._mmap_reads else None
-                    )
+                    region = self.log.read_view(start, size)
                     if region is not None:
                         return region, True
                     return self.log.read(start, size), False

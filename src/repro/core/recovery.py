@@ -24,8 +24,7 @@ This module rebuilds a queryable view from those persisted bytes:
   raising, leaving clean prefixes a reopened instance can append to.
 * :func:`check_data_dir` — offline integrity check of a whole data
   directory, returning a typed :class:`CheckReport`; this drives the
-  ``fsck`` / ``recover`` CLI subcommands.  (:func:`fsck` is the deprecated
-  untyped predecessor.)
+  ``fsck`` / ``recover`` CLI subcommands.
 
 When a data directory has a cold tier (an ``archive.log``), recovery
 scans the archive frames *first*: the archive's ratified ``RECYCLE``
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
@@ -229,7 +227,7 @@ def verify_frames(
 
     ``start`` marks a recycled prefix: frames at or below it keep their
     contiguity (tiling) checks but skip the CRC — their bytes were handed
-    to the cold tier and may have been reclaimed (hole-punched), so the
+    to the cold tier and may have been reclaimed, so the
     archive, not the journal, vouches for that data now.  A frame
     straddling ``start`` is likewise contiguity-checked only.
     """
@@ -908,26 +906,3 @@ def check_data_dir(
                 storage.close()
     return report
 
-
-def fsck(
-    data_dir: str,
-    repair: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-) -> RecoveredState:
-    """Deprecated alias for :func:`check_data_dir`.
-
-    Returns the bare :class:`RecoveredState` (raising on corruption) the
-    way the old API did; new callers should consume the typed
-    :class:`CheckReport` instead.
-    """
-    warnings.warn(
-        "fsck() is deprecated; use check_data_dir(), which returns a "
-        "typed CheckReport",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    report = check_data_dir(data_dir, repair=repair, metrics=metrics)
-    if report.error is not None:
-        raise report.error
-    assert report.state is not None
-    return report.state

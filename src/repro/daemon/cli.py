@@ -412,7 +412,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "implies --archive",
     )
     serve.add_argument(
-        "--retention-downsample", type=int, default=None, metavar="N",
+        "--retention-downsample", dest="keep_every", type=int, default=None,
+        metavar="N",
         help="keep every Nth retired chunk's summary resident "
         "(default: drop retired chunks entirely)",
     )
@@ -433,8 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.retention_horizon is not None:
             retention = RetentionPolicy(
                 horizon_ns=parse_duration(args.retention_horizon),
-                mode="downsample" if args.retention_downsample else "drop",
-                keep_every=args.retention_downsample or 4,
+                mode="downsample" if args.keep_every else "drop",
+                keep_every=args.keep_every or 4,
             )
         loom_config = (
             LoomConfig(

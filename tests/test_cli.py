@@ -60,14 +60,14 @@ class TestCommands:
     def test_agg_max(self, cli):
         c, daemon = cli
         result = c.execute("agg syscall latency max last 10s")
-        records = daemon.loom.raw_scan(events.SRC_SYSCALL, (0, daemon.clock.now()))
+        records = daemon.loom.scan(events.SRC_SYSCALL, (0, daemon.clock.now())).records
         expected = max(events.latency_value(r.payload) for r in records)
         assert result.value == pytest.approx(expected)
 
     def test_pct_matches_numpy(self, cli):
         c, daemon = cli
         result = c.execute("pct syscall latency 99 last 10s")
-        records = daemon.loom.raw_scan(events.SRC_SYSCALL, (0, daemon.clock.now()))
+        records = daemon.loom.scan(events.SRC_SYSCALL, (0, daemon.clock.now())).records
         values = [events.latency_value(r.payload) for r in records]
         assert result.value == float(
             np.percentile(values, 99, method="inverted_cdf")
@@ -81,7 +81,7 @@ class TestCommands:
     def test_where_range(self, cli):
         c, daemon = cli
         result = c.execute("where syscall latency 20..80 last 10s")
-        records = daemon.loom.raw_scan(events.SRC_SYSCALL, (0, daemon.clock.now()))
+        records = daemon.loom.scan(events.SRC_SYSCALL, (0, daemon.clock.now())).records
         expected = sum(
             1 for r in records if 20.0 <= events.latency_value(r.payload) <= 80.0
         )

@@ -63,7 +63,7 @@ class TestKillAndReopen:
         reopened = Loom.open(cfg, clock=VirtualClock())
         survivors = persisted // (HEADER_SIZE + len(b"payload-000"))
         assert reopened.total_records == survivors
-        records = reopened.raw_scan(7, (0, 10**12))
+        records = reopened.scan(7, (0, 10**12)).records
         assert len(records) == survivors
         # Oldest record is intact and the scan is newest-first.
         assert records[-1].payload == b"payload-000"
@@ -92,14 +92,14 @@ class TestKillAndReopen:
             clock2.advance(5)
             reopened.push(1 + i % 2, b"n%04d" % i)
         reopened.sync()
-        records = reopened.raw_scan(1, (0, 10**12))
+        records = reopened.scan(1, (0, 10**12)).records
         assert len(records) == before_1 + 25
         # The newest pre-crash record is reachable from the newest
         # post-restart record purely by following back-pointers.
         payloads = [bytes(r.payload) for r in records]
         assert payloads[0] == b"n%04d" % 48
         assert any(p.startswith(b"r") for p in payloads)
-        assert len(reopened.raw_scan(2, (0, 10**12))) == before_2 + 25
+        assert len(reopened.scan(2, (0, 10**12)).records) == before_2 + 25
         reopened.close()
 
     def test_clean_close_loses_nothing(self, data_dir):
@@ -115,7 +115,7 @@ class TestKillAndReopen:
 
         reopened = Loom.open(cfg, clock=VirtualClock())
         assert reopened.total_records == 75
-        records = reopened.raw_scan(3, (0, 10**12))
+        records = reopened.scan(3, (0, 10**12)).records
         assert [r.address for r in reversed(records)] == addresses
         reopened.close()
 
@@ -157,7 +157,7 @@ class TestKillAndReopen:
         # The reopen clock fast-forwards to the last recovered timestamp,
         # so post-restart records start strictly after it.
         t0 = clock2.now() - 40 * 10 + 1
-        result = reopened.indexed_aggregate(1, new_id, (t0, clock2.now()), "count")
+        result = reopened.aggregate(1, new_id, (t0, clock2.now()), "count")
         assert result.value == 40
         reopened.close()
 
@@ -209,7 +209,7 @@ class TestDaemonReopen:
         restarted.clock.advance(10)
         restarted.receive("cpu", b"after")
         restarted.sync()
-        records = restarted.loom.raw_scan(1, (0, 10**15))
+        records = restarted.loom.scan(1, (0, 10**15)).records
         assert len(records) == 65
         restarted.close()
 
@@ -281,7 +281,7 @@ class TestTruncationProperty:
             assert persisted <= surviving_bytes
             survivors = persisted // record_size
             assert survivors >= min_survivors
-            records = reopened.raw_scan(9, (0, 10**15)) if survivors else []
+            records = reopened.scan(9, (0, 10**15)).records if survivors else []
             assert len(records) == survivors == reopened.total_records
             for i, record in enumerate(reversed(records)):
                 assert bytes(record.payload) == b"record-%04d" % i
@@ -296,7 +296,7 @@ class TestTruncationProperty:
             reopened.define_source(9)
             reopened.push(9, b"post-repair")
             reopened.sync()
-            assert len(reopened.raw_scan(9, (0, 10**15))) == survivors + 1
+            assert len(reopened.scan(9, (0, 10**15)).records) == survivors + 1
             reopened.close()
         finally:
             shutil.rmtree(root, ignore_errors=True)

@@ -8,7 +8,6 @@ from repro.core import (
     HistogramSpec,
     Loom,
     LoomConfig,
-    QueryStats,
 )
 from repro.core.errors import AddressError
 from repro.core.hybridlog import HybridLog
@@ -60,7 +59,7 @@ class TestBulkRegionDecode:
         config = LoomConfig(chunk_size=4096, record_block_size=8192)
         loom = Loom(config, clock=clock)
         loom.define_source(1)
-        big = bytes(range(256)) * 4  # 1024 B > _INLINE_READ
+        big = bytes(range(256)) * 4  # 1024 B > _INLINE_READ_SIZE
         address = loom.push(1, big)
         loom.sync()
         assert loom.record_log.read_record(address).payload == big
@@ -73,7 +72,7 @@ class TestDegenerateQueries:
         loom.define_source(2)
         loom.push(2, value_payload(1.0))
         loom.sync()
-        assert loom.raw_scan(1, (0, 2**62)) == []
+        assert loom.scan(1, (0, 2**62)).records == []
 
     def test_indexed_scan_before_any_chunk_finalizes(self, clock):
         """All data in the active chunk: only the unindexed scan runs."""
@@ -85,24 +84,24 @@ class TestDegenerateQueries:
             loom.push(1, value_payload(float(i)))
             clock.advance(10)
         loom.sync()
-        stats = QueryStats()
-        records = loom.indexed_scan(
-            1, index_id, (0, clock.now()), (50.0, float("inf")), stats=stats
+        result = loom.scan_indexed(
+            1, index_id, (0, clock.now()), (50.0, float("inf"))
         )
-        assert len(records) == 50
+        stats = result.stats
+        assert len(result.records) == 50
         assert stats.summaries_examined == 0  # nothing finalized yet
         loom.close()
 
     def test_zero_width_time_range_exact_hit(self, indexed_loom):
         loom, sid, index_id, values, timestamps = indexed_loom
         t = timestamps[100]
-        records = loom.raw_scan(sid, (t, t))
+        records = loom.scan(sid, (t, t)).records
         assert len(records) == 1
         assert records[0].timestamp == t
 
     def test_huge_time_range(self, indexed_loom):
         loom, sid, index_id, values, _ = indexed_loom
-        records = loom.indexed_scan(sid, index_id, (0, 2**62))
+        records = loom.scan_indexed(sid, index_id, (0, 2**62)).records
         assert len(records) == len(values)
 
     def test_aggregate_on_closed_source_data(self, loom, clock):
@@ -115,9 +114,9 @@ class TestDegenerateQueries:
         loom.sync()
         t_range = (0, clock.now())
         # Closing the source also closes its indexes, so aggregate first.
-        before = loom.indexed_aggregate(1, index_id, t_range, "max").value
+        before = loom.aggregate(1, index_id, t_range, "max").value
         loom.close_source(1)
-        assert loom.raw_scan(1, t_range)[0].timestamp > 0
+        assert loom.scan(1, t_range).records[0].timestamp > 0
         assert before == 49.0
 
     def test_empty_payload_records(self, loom, clock):
@@ -126,7 +125,7 @@ class TestDegenerateQueries:
             loom.push(1, b"")
             clock.advance(10)
         loom.sync()
-        records = loom.raw_scan(1, (0, clock.now()))
+        records = loom.scan(1, (0, clock.now())).records
         assert len(records) == 10
         assert all(r.payload == b"" for r in records)
 
@@ -136,7 +135,7 @@ class TestDegenerateQueries:
         for i in range(20):
             loom.push(1, value_payload(float(i)))
         loom.sync()
-        records = loom.raw_scan(1, (0, 0))
+        records = loom.scan(1, (0, 0)).records
         assert len(records) == 20
 
 
@@ -150,7 +149,7 @@ class TestHistogramExtremes:
         loom.sync()
         t_range = (0, clock.now())
         # Closed range [10, 20] must include both edges.
-        records = loom.indexed_scan(1, index_id, t_range, (10.0, 20.0))
+        records = loom.scan_indexed(1, index_id, t_range, (10.0, 20.0)).records
         got = sorted(payload_value(r.payload) for r in records)
         assert got == [10.0, 19.999999, 20.0]
 
@@ -163,7 +162,7 @@ class TestHistogramExtremes:
             clock.advance(10)
         loom.sync()
         t_range = (0, clock.now())
-        below = loom.indexed_scan(1, index_id, t_range, (float("-inf"), -0.001))
+        below = loom.scan_indexed(1, index_id, t_range, (float("-inf"), -0.001)).records
         assert sorted(payload_value(r.payload) for r in below) == [-5.0, -0.001]
-        result = loom.indexed_aggregate(1, index_id, t_range, "min")
+        result = loom.aggregate(1, index_id, t_range, "min")
         assert result.value == -5.0

@@ -95,7 +95,7 @@ class TestLoomUnderStorageFaults:
                 pushed += 1
         # Everything acknowledged before the fault is still queryable.
         loom.sync()
-        records = loom.raw_scan(1, (0, 2**63 - 1))
+        records = loom.scan(1, (0, 2**63 - 1)).records
         assert len(records) == pushed
 
     def test_failed_instance_keeps_failing_loud(self, clock):

@@ -162,7 +162,7 @@ class TestLoomHealth:
         loom.sync()
         assert loom.health() is Health.HEALTHY
         assert storage.faults_injected > 0
-        assert len(loom.raw_scan(1, (0, 10**9))) == 100
+        assert len(loom.scan(1, (0, 10**9)).records) == 100
 
     def test_failed_loom_rejects_ingest_but_serves_queries(self):
         storage = FaultInjectingStorage()
@@ -181,7 +181,7 @@ class TestLoomHealth:
         with pytest.raises(StorageError):
             loom.push(1, b"more")
         # Everything published before the failure is still queryable.
-        records = loom.raw_scan(1, (0, 10**9))
+        records = loom.scan(1, (0, 10**9)).records
         assert len(records) >= 20
         assert bytes(records[-1].payload) == b"q0000"
 
@@ -259,7 +259,7 @@ class TestCorruptionDetection:
             addresses.append(loom.push(1, b"value-%02d" % i))
         loom.sync()
         # Scans work while the data is intact.
-        assert len(loom.raw_scan(1, (0, 10**9))) == 30
+        assert len(loom.scan(1, (0, 10**9)).records) == 30
         victim = addresses[3]  # old enough to be flushed to the file
         assert victim + HEADER_SIZE < loom.record_log.log.persisted_tail
         corrupt_byte(loom.record_log.log.storage, victim + HEADER_SIZE + 1)

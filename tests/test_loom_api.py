@@ -21,12 +21,18 @@ class TestApiSurface:
             "define_index",
             "close_index",
             "push",
+            "push_many",
             "sync",
-            "raw_scan",
-            "indexed_scan",
-            "indexed_aggregate",
+            "scan",
+            "scan_indexed",
+            "aggregate",
         ):
             assert callable(getattr(Loom, name))
+
+    def test_query_verbs_have_one_surface(self):
+        """The pre-QueryResult query methods are gone, not aliased."""
+        for name in ("raw_scan", "indexed_scan", "indexed_aggregate"):
+            assert not hasattr(Loom, name)
 
     def test_define_index_accepts_edge_sequence(self, loom):
         loom.define_source(1)
@@ -53,7 +59,7 @@ class TestApiSurface:
         loom.sync()
         assert loom.total_records == 500
         assert loom.source_record_count(1) == 500
-        records = loom.raw_scan(1, (0, clock.now()))
+        records = loom.scan(1, (0, clock.now())).records
         assert len(records) == 500
 
     def test_context_manager_closes(self, small_config, clock):
@@ -94,12 +100,12 @@ class TestIndexLifecycle:
             clock.advance(10)
         loom.sync()
         # Indexed aggregate over the new-data window is exact.
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             1, index_id, (split_time, clock.now()), "count"
         )
         assert result.value == 100.0
         # Raw scan still sees all 200 records.
-        assert len(loom.raw_scan(1, (0, clock.now()))) == 200
+        assert len(loom.scan(1, (0, clock.now())).records) == 200
 
     def test_closing_index_does_not_disturb_ingest(self, loom, clock):
         loom.define_source(1)
@@ -121,8 +127,8 @@ class TestIndexLifecycle:
             clock.advance(10)
         loom.sync()
         t = (0, clock.now())
-        assert loom.indexed_aggregate(1, by_value, t, "max").value == 99.0
-        assert loom.indexed_aggregate(1, by_half, t, "max").value == 49.5
+        assert loom.aggregate(1, by_value, t, "max").value == 99.0
+        assert loom.aggregate(1, by_half, t, "max").value == 49.5
 
 
 class TestMultipleSources:
@@ -137,9 +143,9 @@ class TestMultipleSources:
             clock.advance(10)
         loom.sync()
         t = (0, clock.now())
-        assert loom.indexed_aggregate(1, i1, t, "max").value == 1.0
-        assert loom.indexed_aggregate(2, i2, t, "max").value == 100.0
-        assert loom.indexed_aggregate(1, i1, t, "count").value == 100.0
+        assert loom.aggregate(1, i1, t, "max").value == 1.0
+        assert loom.aggregate(2, i2, t, "max").value == 100.0
+        assert loom.aggregate(1, i1, t, "count").value == 100.0
 
     def test_many_sources(self, loom, clock):
         n_sources = 20
@@ -151,7 +157,7 @@ class TestMultipleSources:
             clock.advance(100)
         loom.sync()
         for sid in range(1, n_sources + 1):
-            records = loom.raw_scan(sid, (0, clock.now()))
+            records = loom.scan(sid, (0, clock.now())).records
             assert len(records) == 30
             assert all(payload_value(r.payload) == float(sid) for r in records)
 
@@ -163,7 +169,7 @@ class TestClocks:
         loom.push(1, b"a")
         loom.push(1, b"b")
         loom.sync()
-        records = loom.raw_scan(1, (0, 2**63 - 1))
+        records = loom.scan(1, (0, 2**63 - 1)).records
         assert len(records) == 2
         assert records[0].timestamp >= records[1].timestamp
         loom.close()
@@ -175,7 +181,7 @@ class TestClocks:
         clock.set(2000)
         loom.push(1, b"b")
         loom.sync()
-        records = loom.raw_scan(1, (1500, 2500))
+        records = loom.scan(1, (1500, 2500)).records
         assert len(records) == 1
         assert records[0].timestamp == 2000
 
@@ -193,7 +199,7 @@ class TestFileBackedLoom:
             loom.push(1, value_payload(float(i)))
             clock.advance(10)
         loom.sync()
-        records = loom.raw_scan(1, (0, clock.now()))
+        records = loom.scan(1, (0, clock.now())).records
         assert len(records) == 200
         loom.close()
         assert (tmp_path / "records.log").stat().st_size > 0

@@ -19,7 +19,7 @@ class TestDistributiveAggregates:
     @pytest.mark.parametrize("method", ["count", "sum", "min", "max", "mean"])
     def test_full_range_matches_reference(self, indexed_loom, method):
         loom, sid, index_id, values, timestamps = indexed_loom
-        result = loom.indexed_aggregate(sid, index_id, (0, timestamps[-1]), method)
+        result = loom.aggregate(sid, index_id, (0, timestamps[-1]), method)
         reference = {
             "count": float(len(values)),
             "sum": sum(values),
@@ -35,7 +35,7 @@ class TestDistributiveAggregates:
         loom, sid, index_id, values, timestamps = indexed_loom
         t_range = (timestamps[333], timestamps[1444])
         subset = in_window(values, timestamps, t_range)
-        result = loom.indexed_aggregate(sid, index_id, t_range, method)
+        result = loom.aggregate(sid, index_id, t_range, method)
         reference = {
             "count": float(len(subset)),
             "sum": sum(subset),
@@ -48,7 +48,7 @@ class TestDistributiveAggregates:
     def test_empty_window_returns_none(self, indexed_loom):
         loom, sid, index_id, _, timestamps = indexed_loom
         future = timestamps[-1] + 10**12
-        result = loom.indexed_aggregate(sid, index_id, (future, future + 1), "max")
+        result = loom.aggregate(sid, index_id, (future, future + 1), "max")
         assert result.value is None
         assert result.count == 0
 
@@ -56,7 +56,7 @@ class TestDistributiveAggregates:
         """Chunks fully inside the window must be answered from their bin
         statistics (the Figure 13 fast path)."""
         loom, sid, index_id, values, timestamps = indexed_loom
-        result = loom.indexed_aggregate(sid, index_id, (0, timestamps[-1]), "max")
+        result = loom.aggregate(sid, index_id, (0, timestamps[-1]), "max")
         stats = result.stats
         assert stats.summaries_aggregated > 0
         # Only edge chunks and the active region get scanned.
@@ -65,14 +65,14 @@ class TestDistributiveAggregates:
     def test_unknown_method_rejected(self, indexed_loom):
         loom, sid, index_id, _, timestamps = indexed_loom
         with pytest.raises(LoomError):
-            loom.indexed_aggregate(sid, index_id, (0, timestamps[-1]), "median")
+            loom.aggregate(sid, index_id, (0, timestamps[-1]), "median")
 
 
 class TestPercentiles:
     @pytest.mark.parametrize("percentile", [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0])
     def test_exact_vs_numpy_inverted_cdf(self, indexed_loom, percentile):
         loom, sid, index_id, values, timestamps = indexed_loom
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             sid, index_id, (0, timestamps[-1]), "percentile", percentile=percentile
         )
         expected = float(
@@ -84,7 +84,7 @@ class TestPercentiles:
         loom, sid, index_id, values, timestamps = indexed_loom
         t_range = (timestamps[100], timestamps[1900])
         subset = in_window(values, timestamps, t_range)
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             sid, index_id, t_range, "percentile", percentile=95.0
         )
         expected = float(np.percentile(subset, 95.0, method="inverted_cdf"))
@@ -94,7 +94,7 @@ class TestPercentiles:
         """The CDF walk must identify one bin and scan only chunks with
         records in it — not every chunk."""
         loom, sid, index_id, values, timestamps = indexed_loom
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             sid, index_id, (0, timestamps[-1]), "percentile", percentile=99.9
         )
         total_chunks = len(loom.record_log.chunk_index)
@@ -103,16 +103,16 @@ class TestPercentiles:
     def test_percentile_requires_valid_argument(self, indexed_loom):
         loom, sid, index_id, _, timestamps = indexed_loom
         with pytest.raises(LoomError):
-            loom.indexed_aggregate(sid, index_id, (0, timestamps[-1]), "percentile")
+            loom.aggregate(sid, index_id, (0, timestamps[-1]), "percentile")
         with pytest.raises(LoomError):
-            loom.indexed_aggregate(
+            loom.aggregate(
                 sid, index_id, (0, timestamps[-1]), "percentile", percentile=101.0
             )
 
     def test_percentile_empty_window(self, indexed_loom):
         loom, sid, index_id, _, timestamps = indexed_loom
         future = timestamps[-1] + 10**12
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             sid, index_id, (future, future + 1), "percentile", percentile=50.0
         )
         assert result.value is None
@@ -125,7 +125,7 @@ class TestPercentiles:
         loom.push(1, value_payload(5.0))
         loom.sync()
         for p in (0.0, 50.0, 100.0):
-            result = loom.indexed_aggregate(
+            result = loom.aggregate(
                 1, index_id, (0, clock.now()), "percentile", percentile=p
             )
             assert result.value == 5.0
@@ -142,7 +142,7 @@ class TestPercentiles:
             loom.push(1, value_payload(v))
             clock.advance(10)
         loom.sync()
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             1, index_id, (0, clock.now()), "percentile", percentile=90.0
         )
         assert result.value == float(

@@ -29,15 +29,15 @@ class TestQueryEquivalence:
         daemon, stream = loaded
         t_range = (0, daemon.clock.now())
         index_id = daemon.index_id("syscall", "latency")
-        raw = daemon.loom.raw_scan(events.SRC_SYSCALL, t_range)
-        indexed = daemon.loom.indexed_scan(events.SRC_SYSCALL, index_id, t_range)
+        raw = daemon.loom.scan(events.SRC_SYSCALL, t_range).records
+        indexed = daemon.loom.scan_indexed(events.SRC_SYSCALL, index_id, t_range).records
         assert {r.address for r in raw} == {r.address for r in indexed}
 
     def test_aggregate_vs_scan_consistency(self, loaded):
         daemon, stream = loaded
         t_range = (seconds(2), seconds(6))
         index_id = daemon.index_id("syscall", "latency")
-        records = daemon.loom.indexed_scan(events.SRC_SYSCALL, index_id, t_range)
+        records = daemon.loom.scan_indexed(events.SRC_SYSCALL, index_id, t_range).records
         values = [events.latency_value(r.payload) for r in records]
         for method, expected in (
             ("count", float(len(values))),
@@ -45,7 +45,7 @@ class TestQueryEquivalence:
             ("max", max(values)),
             ("sum", sum(values)),
         ):
-            result = daemon.loom.indexed_aggregate(
+            result = daemon.loom.aggregate(
                 events.SRC_SYSCALL, index_id, t_range, method
             )
             assert result.value == pytest.approx(expected)
@@ -54,10 +54,10 @@ class TestQueryEquivalence:
         daemon, stream = loaded
         t_range = (seconds(1), seconds(7))
         index_id = daemon.index_id("syscall", "latency")
-        records = daemon.loom.raw_scan(events.SRC_SYSCALL, t_range)
+        records = daemon.loom.scan(events.SRC_SYSCALL, t_range).records
         values = [events.latency_value(r.payload) for r in records]
         for p in (1.0, 25.0, 50.0, 75.0, 99.0, 99.99):
-            result = daemon.loom.indexed_aggregate(
+            result = daemon.loom.aggregate(
                 events.SRC_SYSCALL, index_id, t_range, "percentile", percentile=p
             )
             assert result.value == float(
@@ -70,13 +70,13 @@ class TestQueryEquivalence:
         daemon, stream = loaded
         index_id = daemon.index_id("syscall", "latency")
         a, b, c = seconds(1), seconds(4), seconds(7)
-        left = daemon.loom.indexed_aggregate(
+        left = daemon.loom.aggregate(
             events.SRC_SYSCALL, index_id, (a, b - 1), "count"
         ).value or 0
-        right = daemon.loom.indexed_aggregate(
+        right = daemon.loom.aggregate(
             events.SRC_SYSCALL, index_id, (b, c), "count"
         ).value or 0
-        whole = daemon.loom.indexed_aggregate(
+        whole = daemon.loom.aggregate(
             events.SRC_SYSCALL, index_id, (a, c), "count"
         ).value or 0
         assert left + right == whole
@@ -102,5 +102,5 @@ class TestEndToEndCompleteness:
         assert daemon.loom.total_records == total
         t_all = (0, daemon.clock.now())
         for sid, count in expected.items():
-            assert len(daemon.loom.raw_scan(sid, t_all)) == count
+            assert len(daemon.loom.scan(sid, t_all).records) == count
         daemon.close()

@@ -24,7 +24,7 @@ def reference_filter(values, timestamps, t_range, v_range=None):
 class TestRawScan:
     def test_full_range_returns_everything_newest_first(self, indexed_loom):
         loom, sid, _, values, timestamps = indexed_loom
-        records = loom.raw_scan(sid, (0, timestamps[-1]))
+        records = loom.scan(sid, (0, timestamps[-1])).records
         assert len(records) == len(values)
         got = [payload_value(r.payload) for r in records]
         assert got == list(reversed(values))
@@ -32,30 +32,30 @@ class TestRawScan:
     def test_time_window(self, indexed_loom):
         loom, sid, _, values, timestamps = indexed_loom
         t_range = (timestamps[500], timestamps[700])
-        records = loom.raw_scan(sid, t_range)
+        records = loom.scan(sid, t_range).records
         expected = reference_filter(values, timestamps, t_range)
         assert len(records) == len(expected) == 201
 
     def test_empty_window(self, indexed_loom):
         loom, sid, _, _, timestamps = indexed_loom
         between = timestamps[10] + 1  # no record exactly here
-        assert loom.raw_scan(sid, (between, between)) == []
+        assert loom.scan(sid, (between, between)).records == []
 
     def test_inverted_window(self, indexed_loom):
         loom, sid, _, _, timestamps = indexed_loom
-        assert loom.raw_scan(sid, (timestamps[700], timestamps[500])) == []
+        assert loom.scan(sid, (timestamps[700], timestamps[500])).records == []
 
     def test_window_in_future(self, indexed_loom):
         loom, sid, _, _, timestamps = indexed_loom
         future = timestamps[-1] + 10**12
-        assert loom.raw_scan(sid, (future, future + 1000)) == []
+        assert loom.scan(sid, (future, future + 1000)).records == []
 
     def test_func_form_streams(self, indexed_loom):
         loom, sid, _, values, timestamps = indexed_loom
         seen = []
-        result = loom.raw_scan(
+        result = loom.scan(
             sid, (0, timestamps[-1]), func=lambda r: seen.append(r)
-        )
+        ).records
         assert result is None
         assert len(seen) == len(values)
 
@@ -64,8 +64,7 @@ class TestRawScan:
         the whole history (this is Figure 16's 'time index' effect)."""
         loom, sid, _, values, timestamps = indexed_loom
         t_range = (timestamps[-50], timestamps[-1])
-        with_index = QueryStats()
-        loom.raw_scan(sid, t_range, stats=with_index)
+        assert loom.scan(sid, t_range).stats.used_time_index
         # Old-window query: without the index hint, it starts at the tail.
         t_old = (timestamps[0], timestamps[50])
         old_stats = QueryStats()
@@ -89,16 +88,16 @@ class TestIndexedScan:
     def test_matches_reference(self, indexed_loom, v_range):
         loom, sid, index_id, values, timestamps = indexed_loom
         t_range = (timestamps[300], timestamps[1500])
-        records = loom.indexed_scan(sid, index_id, t_range, v_range)
+        records = loom.scan_indexed(sid, index_id, t_range, v_range).records
         expected = reference_filter(values, timestamps, t_range, v_range)
         got = sorted(payload_value(r.payload) for r in records)
         assert got == sorted(v for v, _ in expected)
 
     def test_results_in_arrival_order(self, indexed_loom):
         loom, sid, index_id, values, timestamps = indexed_loom
-        records = loom.indexed_scan(
+        records = loom.scan_indexed(
             sid, index_id, (0, timestamps[-1]), (0.0, float("inf"))
-        )
+        ).records
         addresses = [r.address for r in records]
         assert addresses == sorted(addresses)
         assert len(records) == len(values)
@@ -111,9 +110,9 @@ class TestIndexedScan:
 
         loom.push(sid, value_payload(7777.0))
         loom.sync()
-        records = loom.indexed_scan(
+        records = loom.scan_indexed(
             sid, index_id, (0, clock.now()), (7777.0, 7777.0)
-        )
+        ).records
         assert len(records) == 1
 
     def test_skips_chunks_via_bins(self, indexed_loom):
@@ -123,11 +122,9 @@ class TestIndexedScan:
         t_range = (0, timestamps[-1])
         # Rare high values: most chunks should be skipped.
         rare = [v for v in values if v >= 1000.0]
-        stats = QueryStats()
-        records = loom.indexed_scan(
-            sid, index_id, t_range, (1000.0, float("inf")), stats=stats
-        )
-        assert len(records) == len(rare)
+        result = loom.scan_indexed(sid, index_id, t_range, (1000.0, float("inf")))
+        stats = result.stats
+        assert len(result.records) == len(rare)
         assert stats.chunks_skipped > stats.chunks_scanned
         assert stats.records_scanned < len(values)
 
@@ -157,14 +154,14 @@ class TestIndexedScan:
         from repro.core.errors import LoomError
 
         with pytest.raises(LoomError):
-            loom.indexed_scan(99, index_id, (0, timestamps[-1]))
+            loom.scan_indexed(99, index_id, (0, timestamps[-1]))
 
     def test_unknown_index_rejected(self, indexed_loom):
         loom, sid, _, _, timestamps = indexed_loom
         from repro.core.errors import UnknownIndexError
 
         with pytest.raises(UnknownIndexError):
-            loom.indexed_scan(sid, 424242, (0, timestamps[-1]))
+            loom.scan_indexed(sid, 424242, (0, timestamps[-1]))
 
     def test_multi_source_isolation(self, loom, clock):
         """Records from other sources interleaved in the same chunks must
@@ -180,6 +177,6 @@ class TestIndexedScan:
             loom.push(2, value_payload(999.0))
             clock.advance(50)
         loom.sync()
-        records = loom.indexed_scan(1, i1, (0, clock.now()), (0.0, float("inf")))
+        records = loom.scan_indexed(1, i1, (0, clock.now()), (0.0, float("inf"))).records
         assert len(records) == 200
         assert all(r.source_id == 1 for r in records)

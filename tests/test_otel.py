@@ -39,7 +39,7 @@ class TestSpanExport:
         exp.export_span(span)
         daemon.sync()
         handle = daemon.source("otel.span.op")
-        records = daemon.loom.raw_scan(handle.source_id, (0, daemon.clock.now()))
+        records = daemon.loom.scan(handle.source_id, (0, daemon.clock.now())).records
         trace_id, duration, status = decode_span_payload(records[0].payload)
         assert (trace_id, duration, status) == (0xABCDEF, 42.5, STATUS_ERROR)
 

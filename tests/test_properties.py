@@ -159,7 +159,7 @@ class TestQueryProperties:
     @given(values=VALUES, edges=EDGES, percentile=st.floats(0.0, 100.0))
     def test_percentile_matches_numpy(self, values, edges, percentile):
         loom, index_id, timestamps, clock = build_loom(values, sorted(edges))
-        result = loom.indexed_aggregate(
+        result = loom.aggregate(
             1, index_id, (0, clock.now()), "percentile", percentile=percentile
         )
         expected = float(np.percentile(values, percentile, method="inverted_cdf"))
@@ -176,7 +176,7 @@ class TestQueryProperties:
     def test_indexed_scan_equals_naive_filter(self, values, edges, v_lo, v_width):
         loom, index_id, timestamps, clock = build_loom(values, sorted(edges))
         v_hi = v_lo + v_width
-        records = loom.indexed_scan(1, index_id, (0, clock.now()), (v_lo, v_hi))
+        records = loom.scan_indexed(1, index_id, (0, clock.now()), (v_lo, v_hi)).records
         got = sorted(payload_value(r.payload) for r in records)
         expected = sorted(v for v in values if v_lo <= v <= v_hi)
         assert got == expected
@@ -188,7 +188,7 @@ class TestQueryProperties:
         loom, index_id, timestamps, clock = build_loom(values, sorted(edges))
         t_lo = data.draw(st.integers(min_value=0, max_value=clock.now()))
         t_hi = data.draw(st.integers(min_value=t_lo, max_value=clock.now()))
-        records = loom.raw_scan(1, (t_lo, t_hi))
+        records = loom.scan(1, (t_lo, t_hi)).records
         got = sorted(payload_value(r.payload) for r in records)
         expected = sorted(
             v for v, t in zip(values, timestamps) if t_lo <= t <= t_hi
@@ -201,10 +201,10 @@ class TestQueryProperties:
     def test_distributive_aggregates_match_reference(self, values, edges):
         loom, index_id, timestamps, clock = build_loom(values, sorted(edges))
         t = (0, clock.now())
-        assert loom.indexed_aggregate(1, index_id, t, "count").value == len(values)
-        assert loom.indexed_aggregate(1, index_id, t, "min").value == min(values)
-        assert loom.indexed_aggregate(1, index_id, t, "max").value == max(values)
-        total = loom.indexed_aggregate(1, index_id, t, "sum").value
+        assert loom.aggregate(1, index_id, t, "count").value == len(values)
+        assert loom.aggregate(1, index_id, t, "min").value == min(values)
+        assert loom.aggregate(1, index_id, t, "max").value == max(values)
+        total = loom.aggregate(1, index_id, t, "sum").value
         assert total == float(np.sum(np.asarray(values), dtype=np.float64)) or abs(
             total - sum(values)
         ) <= 1e-6 * max(1.0, abs(sum(values)))

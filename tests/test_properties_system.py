@@ -115,7 +115,7 @@ class TestSnapshotIsolationProperty:
             prefix_counts.append(total)
         t_range = (0, 2**62)
         for snap, expected in zip(snapshots, prefix_counts):
-            result = loom.indexed_aggregate(
+            result = loom.aggregate(
                 1, index_id, t_range, "count", snapshot=snap
             )
             assert int(result.value or 0) == expected

@@ -188,7 +188,7 @@ class TestPushManyAPI:
             addresses = loom.push_many(1, [b"x", b"y"])
             loom.sync()
             assert loom.total_records == 2
-            assert [r.payload for r in loom.raw_scan(1, (0, 10**18))] == [b"y", b"x"]
+            assert [r.payload for r in loom.scan(1, (0, 10**18)).records] == [b"y", b"x"]
             assert len(addresses) == 2
 
 
@@ -236,15 +236,3 @@ class TestZeroCopyScans:
 
     def test_record_log_has_no_shared_decode_counter(self, loaded):
         assert not hasattr(loaded, "records_decoded")
-
-    def test_inline_read_size_is_configurable(self, clock):
-        config = LoomConfig(chunk_size=512, inline_read_size=28)
-        log = RecordLog(config=config, clock=clock)
-        log.define_source(1)
-        address = log.push(1, bytes(range(200)))  # payload exceeds inline read
-        assert log.read_record(address).payload == bytes(range(200))
-        log.close()
-
-    def test_inline_read_size_must_cover_header(self):
-        with pytest.raises(ValueError):
-            LoomConfig(inline_read_size=23)

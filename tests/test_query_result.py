@@ -1,4 +1,4 @@
-"""QueryResult API: new query surface, deprecated shims, resolve_source."""
+"""QueryResult API: the query surface and resolve_source."""
 
 import pytest
 
@@ -48,59 +48,21 @@ class TestQueryResultSurface:
         assert any("scan" in s for s in where.trace.stages())
         assert loom.scan(source_id, EVERYTHING).trace is None  # opt-in
 
-
-class TestDeprecatedShims:
-    def test_raw_scan_warns_and_matches_scan(self, indexed_loom):
-        loom, source_id, _, _, _ = indexed_loom
-        with pytest.warns(DeprecationWarning, match="Loom.scan\\(\\)"):
-            legacy = loom.raw_scan(source_id, EVERYTHING)
-        assert legacy == loom.scan(source_id, EVERYTHING).records
-
-    def test_indexed_scan_warns_and_matches_scan_indexed(self, indexed_loom):
+    def test_stats_merge_accumulates_across_queries(self, indexed_loom):
         loom, source_id, index_id, _, _ = indexed_loom
-        v_range = (50.0, 500.0)
-        with pytest.warns(DeprecationWarning, match="scan_indexed"):
-            legacy = loom.indexed_scan(source_id, index_id, EVERYTHING, v_range)
-        current = loom.scan_indexed(source_id, index_id, EVERYTHING, v_range)
-        assert legacy == current.records
-
-    def test_indexed_aggregate_warns_and_matches_aggregate(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        with pytest.warns(DeprecationWarning, match="Loom.aggregate\\(\\)"):
-            legacy = loom.indexed_aggregate(
-                source_id, index_id, EVERYTHING, "percentile", percentile=95.0
-            )
-        current = loom.aggregate(
-            source_id, index_id, EVERYTHING, "percentile", percentile=95.0
-        )
-        assert legacy.value == current.value
-        assert legacy.count == current.count
-
-    def test_shims_merge_into_caller_stats(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        stats = QueryStats()
-        with pytest.warns(DeprecationWarning):
-            loom.raw_scan(source_id, EVERYTHING, stats=stats)
-        after_scan = stats.records_matched
-        assert after_scan == 2000
-        with pytest.warns(DeprecationWarning):
-            agg = loom.indexed_aggregate(
-                source_id, index_id, EVERYTHING, "sum", stats=stats
-            )
-        # Accumulation: the same object keeps growing across calls, and
-        # the legacy AggregateResult hands back that same object.
-        assert stats.records_matched > after_scan
-        assert agg.stats is stats
-
-    def test_new_surface_does_not_warn(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            loom.scan(source_id, EVERYTHING)
-            loom.scan_indexed(source_id, index_id, EVERYTHING)
-            loom.aggregate(source_id, index_id, EVERYTHING, "mean")
+        total = QueryStats()
+        scan = loom.scan(source_id, EVERYTHING).stats
+        total.merge(scan)
+        assert total.records_matched == scan.records_matched == 2000
+        agg = loom.aggregate(source_id, index_id, EVERYTHING, "sum").stats
+        total.merge(agg)
+        assert total.records_matched == scan.records_matched + agg.records_matched
+        assert total.summaries_examined == agg.summaries_examined
+        assert total.used_time_index
+        degraded = QueryStats(degraded=True, missing_shards=["b", "a"])
+        total.merge(degraded)
+        total.merge(degraded)
+        assert total.degraded and total.missing_shards == ["b", "a"]
 
 
 class TestResolveSource:

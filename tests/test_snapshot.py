@@ -37,8 +37,8 @@ class TestSnapshotCapture:
             clock.advance(100)
         loom.sync()
         t_range = (0, clock.now())
-        old_view = loom.raw_scan(1, t_range, snapshot=snap)
-        live_view = loom.raw_scan(1, t_range)
+        old_view = loom.scan(1, t_range, snapshot=snap).records
+        live_view = loom.scan(1, t_range).records
         assert len(old_view) == 10
         assert len(live_view) == 20
 
